@@ -10,7 +10,7 @@ sequence and what a full branch encoder produces.
 
 import numpy as np
 
-from kickdir.encoder import attn_pool, encode_branch_apply, init_branch_encoder
+from kickdir.encoder import attn_pool, encode_branch_forward, init_branch_encoder
 
 rng = np.random.default_rng(7)
 
@@ -50,17 +50,19 @@ enc = init_branch_encoder(in_dim=16, width=24, state_size=4, n_layers=2,
 seq = rng.standard_normal((9, 16))      # one clip sequence
 batch = rng.standard_normal((5, 9, 16))  # five at once
 
-single = encode_branch_apply(seq[None], enc)[0]
-stacked = encode_branch_apply(batch, enc)
+# need_cache=False is the evaluation path: no backward-pass intermediates.
+single = encode_branch_forward(seq[None], enc, need_cache=False)[0][0]
+stacked, _ = encode_branch_forward(batch, enc, need_cache=False)
 print("\nbranch encoder:")
 print(f"  one sequence (9, 16)  -> summary {single.shape}")
 print(f"  batch (5, 9, 16)      -> summaries {stacked.shape}")
 
 # Batching is just vectorization: running the same sequence alone or
 # inside a batch gives the same summary.
-again = encode_branch_apply(np.stack([seq, seq]), enc)
+again, _ = encode_branch_forward(np.stack([seq, seq]), enc, need_cache=False)
 print(f"  batch row == solo run {np.allclose(again[0], single)}")
 
 # Sequence length is free: the pool always lands in the same space.
-short = encode_branch_apply(rng.standard_normal((1, 3, 16)), enc)
+short, _ = encode_branch_forward(rng.standard_normal((1, 3, 16)), enc,
+                                 need_cache=False)
 print(f"  a 3-step clip pools to the same width: {short.shape[1]}")

@@ -131,8 +131,16 @@ def _fold_task(task):
     return fold, bundle, opt, history, cm, report
 
 
+def _worker_count(jobs, folds):
+    """Pool size for --jobs: never more workers than folds or CPUs."""
+    if jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
+    return min(jobs, folds, os.cpu_count() or 1)
+
+
 def _run_folds(samples, split, cfg, jobs=1, branches=None, head=None):
-    """Train and score every fold; returns results ordered by fold index."""
+    """Train and score every fold; returns results ordered by fold index.
+    jobs is a pool size from _worker_count."""
     tasks = []
     for fold in range(split.k):
         train_samples, val_samples = split.split(samples, fold)
@@ -190,6 +198,10 @@ def cmd_train(args):
 def cmd_evaluate(args):
     bundle, _, _, _ = load_checkpoint(args.checkpoint)
     manifest, samples = _load_data(args.data)
+    if manifest.embedding_dim != bundle.embedding_dim:
+        raise DataError(
+            f"checkpoint expects {bundle.embedding_dim}-dim embeddings, "
+            f"dataset has {manifest.embedding_dim}")
     samples, _ = _apply_label_space(manifest, samples, bundle.n_classes)
     cm, report = evaluate_model(bundle, samples)
     names = class_names(bundle.n_classes)
@@ -206,8 +218,9 @@ def cmd_crossval(args):
     cfg = dataclasses.replace(cfg, n_classes=n_classes)
     names = class_names(n_classes)
 
-    # Fold feasibility is checked before any training happens.
+    # Fold feasibility and --jobs are checked before anything is written.
     split = stratified_kfold(samples, k=cfg.k_folds, seed=cfg.seed)
+    jobs = _worker_count(args.jobs, split.k)
 
     missing_gk = sum(1 for s in samples if s.gk_direction is None)
     gk_report = None
@@ -221,7 +234,7 @@ def cmd_crossval(args):
     os.makedirs(folds_dir, exist_ok=True)
     cfg.save(os.path.join(args.out_dir, "config.txt"))
 
-    results = _run_folds(samples, split, cfg, jobs=args.jobs)
+    results = _run_folds(samples, split, cfg, jobs=jobs)
 
     fold_reports, matrices, rows = [], [], []
     for fold, bundle, opt, history, cm, report in results:
@@ -263,6 +276,7 @@ def cmd_ablate(args):
     branch_rows = _parse_branch_rows(args.branches)
 
     split = stratified_kfold(samples, k=cfg.k_folds, seed=cfg.seed)
+    jobs = _worker_count(args.jobs, split.k)
 
     table_rows = []
     for subset in branch_rows:
@@ -270,7 +284,7 @@ def cmd_ablate(args):
             branches, head = None, subset
         else:
             branches, head = subset, None
-        results = _run_folds(samples, split, cfg, jobs=args.jobs,
+        results = _run_folds(samples, split, cfg, jobs=jobs,
                              branches=branches, head=head)
         mean_rep = mean_report([r[5] for r in results])
         table_rows.append((_row_label(subset), mean_rep))

@@ -100,9 +100,6 @@ class FoldSplit:
     k: int
     assignment: dict  # id -> fold index
 
-    def fold_of(self, sample_id):
-        return self.assignment[sample_id]
-
     def split(self, samples, fold):
         """(train, held_out) sample lists for one fold, in dataset order."""
         if not 0 <= fold < self.k:
@@ -265,6 +262,16 @@ def load_dataset(path):
         raise TruncatedPayloadError(
             f"payload ends {expected - len(payload)} bytes early; first "
             f"missing record has index {idx}{name}")
+
+    # One vectorized check over all records: a per-record np.isfinite in the
+    # loop below would add more than half to the load time.
+    layout = np.dtype([("id", f"V{ID_SIZE}"), ("emb", "<f4", (nr + nk) * d),
+                       ("tail", "V4")])
+    finite = np.isfinite(np.frombuffer(payload, dtype=layout)["emb"]).all(axis=1)
+    if not finite.all():
+        idx = int(np.argmin(finite))
+        raise DataError(f"sample {_record_id(payload, idx * record, idx)}: "
+                        f"non-finite embedding values")
 
     samples = []
     seen = set()
@@ -489,11 +496,3 @@ def manifest_summary(manifest, samples):
     lines.append("")
     lines.append(f"gk direction present: {n_gk}/{manifest.count}")
     return "\n".join(lines) + "\n"
-
-
-def write_manifest_sidecar(path, manifest, samples):
-    """Write the manifest_summary text next to a dataset file."""
-    text = manifest_summary(manifest, samples)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-    return text

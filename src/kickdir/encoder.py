@@ -6,11 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import require_finite, softmax
+from .numerics import softmax
 from .ssm import (
     SsmLayerParams,
     init_ssm_layer,
-    ssm_layer_apply,
     ssm_layer_backward,
     ssm_layer_forward,
     ssm_layer_param_arrays,
@@ -102,7 +101,7 @@ class BranchEncoderParams:
 
 
 def init_branch_encoder(in_dim, width, state_size, n_layers, rng, expand=2,
-                        conv_width=4, use_conv=True):
+                        conv_width=4, use_conv=True, delta_range=(0.001, 0.1)):
     if n_layers < 1:
         raise ValueError("branch encoder needs at least one layer")
     scale = 1.0 / np.sqrt(in_dim)
@@ -111,7 +110,8 @@ def init_branch_encoder(in_dim, width, state_size, n_layers, rng, expand=2,
             ln_gamma=np.ones(width),
             ln_beta=np.zeros(width),
             block=init_ssm_layer(width, state_size, rng, expand=expand,
-                                 conv_width=conv_width, use_conv=use_conv),
+                                 conv_width=conv_width, use_conv=use_conv,
+                                 delta_range=delta_range),
         )
         for _ in range(n_layers)
     ]
@@ -131,10 +131,13 @@ class BranchEncoderCache:
     params: BranchEncoderParams
 
 
-def encode_branch_forward(x, params):
-    """x: (B, T, D_in) -> (pooled (B, H), cache). Training path, sequential scan."""
+def encode_branch_forward(x, params, need_cache=True):
+    """x: (B, T, D_in) -> (pooled (B, H), cache).
+
+    need_cache=False is the evaluation path: no intermediates are kept and
+    the cache is None.
+    """
     x = np.asarray(x, dtype=np.float64)
-    require_finite("encode_branch_forward", x)
     if x.ndim != 3:
         raise ValueError("encode_branch_forward: expected (B, T, D) input")
     if x.shape[-1] != params.w_proj.shape[1]:
@@ -145,23 +148,15 @@ def encode_branch_forward(x, params):
     layer_caches = []
     for lay in params.layers:
         normed, ln_cache = layer_norm_forward(h, lay.ln_gamma, lay.ln_beta)
-        out, blk_cache = ssm_layer_forward(normed, lay.block)
-        layer_caches.append((ln_cache, blk_cache))
+        out, blk_cache = ssm_layer_forward(normed, lay.block, need_cache)
+        if need_cache:
+            layer_caches.append((ln_cache, blk_cache))
         h = h + out
     pooled, pool_cache = attn_pool_forward(h, params.pool_w)
+    if not need_cache:
+        return pooled, None
     return pooled, BranchEncoderCache(x_in=x, layer_caches=layer_caches,
                                       pool_cache=pool_cache, params=params)
-
-
-def encode_branch_apply(x, params):
-    """Cache-free evaluation using the parallel scan inside each block."""
-    x = np.asarray(x, dtype=np.float64)
-    h = x @ params.w_proj.T + params.b_proj
-    for lay in params.layers:
-        normed, _ = layer_norm_forward(h, lay.ln_gamma, lay.ln_beta)
-        h = h + ssm_layer_apply(normed, lay.block)
-    pooled, _ = attn_pool_forward(h, params.pool_w)
-    return pooled
 
 
 def encode_branch_backward(cache, dpooled):

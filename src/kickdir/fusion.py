@@ -162,7 +162,6 @@ def fuse_and_classify(t_run, t_kick, t_meta, params, mode="train", rng=None):
         raise ValueError(f"fuse_and_classify: unknown mode {mode!r}")
     segments = [t for t in (t_run, t_kick, t_meta) if t is not None]
     z = np.concatenate(segments, axis=1)
-    require_finite("fuse_and_classify", z)
     if z.shape[1] != params.w_h.shape[1]:
         raise ValueError("fuse_and_classify: concatenated width mismatch")
     pre = z @ params.w_h.T + params.b_h

@@ -30,8 +30,3 @@ def max_rel_error(analytic, numeric, floor=1e-6):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def check_grad(f, x, analytic, eps=1e-5, floor=1e-6):
-    """Relative error between analytic and the central-difference gradient."""
-    return max_rel_error(analytic, numerical_grad(f, x, eps=eps), floor=floor)

@@ -154,12 +154,6 @@ def gk_baseline(samples, n_classes=3):
     return report
 
 
-def subgroup_report(bundle, samples, branches=None):
-    """Per-subgroup accuracy/error rows keyed by SUBGROUP_KEYS."""
-    _, report = evaluate(bundle, samples, branches=branches)
-    return report.subgroups
-
-
 def pool_confusions(matrices):
     """Element-wise sum: the all-fold matrix over every evaluated sample."""
     if not matrices:

@@ -9,11 +9,11 @@ import numpy as np
 
 from .encoder import (
     branch_param_arrays,
-    encode_branch_apply,
     encode_branch_backward,
     encode_branch_forward,
     init_branch_encoder,
 )
+from .errors import DataError
 from .fusion import (
     fuse_and_classify,
     fusion_backward,
@@ -67,7 +67,8 @@ def build_model(embedding_dim, n_classes, cfg, rng, head_branches=None):
     width = cfg.branch_width if cfg.branch_width > 0 else embedding_dim
     kwargs = dict(in_dim=embedding_dim, width=width, state_size=cfg.state_size,
                   n_layers=cfg.n_layers, expand=cfg.expand,
-                  conv_width=cfg.conv_width, use_conv=cfg.use_conv)
+                  conv_width=cfg.conv_width, use_conv=cfg.use_conv,
+                  delta_range=(cfg.delta_init_min, cfg.delta_init_max))
     run_enc = init_branch_encoder(rng=rng, **kwargs)
     kick_enc = init_branch_encoder(rng=rng, **kwargs)
     fusion = init_fusion(branch_width=width, n_classes=n_classes, rng=rng,
@@ -132,19 +133,14 @@ def model_forward(bundle, run_x, kick_x, gamma, mode="train", rng=None,
     in_head = bundle.head_branches
     run_cache = kick_cache = meta_cache = None
     if "run" in branches:
-        if train:
-            t_run, run_cache = encode_branch_forward(run_x, bundle.run_enc)
-        else:
-            t_run = encode_branch_apply(run_x, bundle.run_enc)
+        t_run, run_cache = encode_branch_forward(run_x, bundle.run_enc, train)
     else:
         t_run = np.zeros((batch, width))
     if "kick" not in in_head:
         t_kick = None
     elif "kick" in branches:
-        if train:
-            t_kick, kick_cache = encode_branch_forward(kick_x, bundle.kick_enc)
-        else:
-            t_kick = encode_branch_apply(kick_x, bundle.kick_enc)
+        t_kick, kick_cache = encode_branch_forward(kick_x, bundle.kick_enc,
+                                                   train)
     else:
         t_kick = np.zeros((batch, width))
     if "meta" not in in_head:
@@ -188,17 +184,44 @@ def model_backward(bundle, cache, dlogits):
     return grads
 
 
+# Elements of one (B, T, channels, states) scan tensor per eval chunk, 2 MB
+# of float64: large enough to amortize per-call dispatch, small enough that
+# eval memory stays flat in the number of samples.
+EVAL_CHUNK_ELEMENTS = 2 ** 18
+
+
+def eval_chunk_size(bundle, seq_len):
+    """Samples per eval forward for sequences of seq_len clips."""
+    ssm = bundle.run_enc.layers[0].block.ssm
+    return max(1, EVAL_CHUNK_ELEMENTS
+               // (seq_len * ssm.channels * ssm.state_size))
+
+
 def predict_logits(bundle, samples, branches=None):
-    """Eval-mode logits for a sample list. branches=None enables every
-    branch the bundle's head carries."""
+    """Eval-mode logits for a sample list, scored in bounded chunks.
+    branches=None enables every branch the bundle's head carries.
+
+    Raises DataError naming the first sample whose embeddings are not
+    finite.
+    """
     if branches is None:
         branches = bundle.head_branches
+    out = np.zeros((len(samples), bundle.n_classes))
     if not samples:
-        return np.zeros((0, bundle.n_classes))
-    run_x, kick_x, gamma, _ = batch_inputs(samples)
-    logits, _ = model_forward(bundle, run_x, kick_x, gamma, mode="eval",
-                              branches=branches)
-    return logits
+        return out
+    seq_len = max(len(samples[0].run_seq), len(samples[0].kick_seq))
+    step = eval_chunk_size(bundle, seq_len)
+    for start in range(0, len(samples), step):
+        chunk = samples[start:start + step]
+        run_x, kick_x, gamma, _ = batch_inputs(chunk)
+        finite = np.isfinite(run_x).all(axis=(1, 2)) \
+            & np.isfinite(kick_x).all(axis=(1, 2))
+        if not finite.all():
+            bad = chunk[int(np.argmin(finite))]
+            raise DataError(f"sample {bad.id!r} has non-finite embeddings")
+        out[start:start + step], _ = model_forward(
+            bundle, run_x, kick_x, gamma, mode="eval", branches=branches)
+    return out
 
 
 def predict(bundle, samples, branches=None):

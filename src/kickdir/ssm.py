@@ -1,5 +1,6 @@
 """Selective state-space layer: discretization, input-dependent projections,
-and the linear recurrence evaluated sequentially or as an associative scan.
+and the linear recurrence. Training and evaluation both run the sequential
+scan; the associative scan is kept as an independent reference for it.
 
 The recurrence per channel h and state n is
 
@@ -97,23 +98,6 @@ def discretize_zoh(a, b, delta):
     return a_bar, b_bar
 
 
-def selective_project(x, params):
-    """Input-dependent SSM parameters for each timestep of x (..., H).
-
-    Returns (b, c, delta) with shapes (..., N), (..., N), (..., H); delta is
-    strictly positive via softplus.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    require_finite("selective_project", x)
-    if x.shape[-1] != params.channels:
-        raise ValueError(
-            f"selective_project: expected {params.channels} channels, got {x.shape[-1]}")
-    b = x @ params.w_b.T + params.b_b
-    c = x @ params.w_c.T + params.b_c
-    delta = softplus(x @ params.w_delta.T + params.b_delta)
-    return b, c, delta
-
-
 @dataclass
 class ScanCache:
     x: np.ndarray       # (B, T, H) scan input
@@ -174,7 +158,7 @@ def scan_recurrent(x, params):
     return y[0] if squeeze else y
 
 
-def _scan_forward(x, params):
+def _scan_forward(x, params, need_cache=True):
     pre, delta, b, c, a, a_bar, small, phi, b_bar, u = _selective_parts(x, params)
     bsz, t_len = x.shape[0], x.shape[1]
     hs = np.empty_like(u)
@@ -183,6 +167,8 @@ def _scan_forward(x, params):
         h = a_bar[:, t] * h + u[:, t]
         hs[:, t] = h
     y = _readout(hs, c, x, params.skip_d)
+    if not need_cache:
+        return y, None
     cache = ScanCache(x=x, pre=pre, delta=delta, b=b, c=c, a=a, a_bar=a_bar,
                       phi=phi, b_bar=b_bar, small=small, hs=hs, params=params)
     return y, cache
@@ -194,7 +180,8 @@ def _compose_affine(a2, u2, a1, u1):
 
 
 def scan_parallel(x, params):
-    """Associative-scan evaluation of the same recurrence.
+    """Associative-scan evaluation of the same recurrence, kept as the
+    reference that the sequential scan is checked against.
 
     Each timestep is the affine map h -> a_bar*h + b_bar*x_t; maps compose as
     (a2,u2)o(a1,u1) = (a2*a1, a2*u1 + u2), so an inclusive scan with stride
@@ -295,7 +282,7 @@ class SsmLayerParams:
 
 
 def init_ssm_layer(d_model, state_size, rng, expand=2, conv_width=4,
-                   use_conv=True):
+                   use_conv=True, delta_range=(0.001, 0.1)):
     inner = expand * d_model
     s_in = 1.0 / np.sqrt(d_model)
     s_out = 1.0 / np.sqrt(inner)
@@ -311,7 +298,7 @@ def init_ssm_layer(d_model, state_size, rng, expand=2, conv_width=4,
         b_gate=np.zeros(inner),
         conv_w=conv_w,
         conv_b=conv_b,
-        ssm=init_ssm_params(inner, state_size, rng),
+        ssm=init_ssm_params(inner, state_size, rng, delta_range=delta_range),
         w_out=rng.uniform(-s_out, s_out, size=(d_model, inner)),
         b_out=np.zeros(d_model),
     )
@@ -354,31 +341,24 @@ class SsmLayerCache:
     layer: SsmLayerParams
 
 
-def ssm_layer_forward(x, layer):
-    """Gated SSM block, caching intermediates for the backward pass.
+def ssm_layer_forward(x, layer, need_cache=True):
+    """Gated SSM block. x: (B, T, D) -> (y: (B, T, D), cache).
 
-    x: (B, T, D) -> (y: (B, T, D), cache).
+    With need_cache=False the intermediates for the backward pass are
+    dropped as soon as they are used and the cache is None.
     """
     x = np.asarray(x, dtype=np.float64)
-    require_finite("ssm_layer_forward", x)
     u = x @ layer.w_in.T + layer.b_in
     xc = _causal_conv(u, layer.conv_w, layer.conv_b) if layer.conv_w is not None else u
-    scan_y, scan_cache = _scan_forward(xc, layer.ssm)
+    scan_y, scan_cache = _scan_forward(xc, layer.ssm, need_cache)
     gate = sigmoid(x @ layer.w_gate.T + layer.b_gate)
     gated = gate * scan_y
     y = gated @ layer.w_out.T + layer.b_out
+    if not need_cache:
+        return y, None
     cache = SsmLayerCache(x=x, u=u, xc=xc, gate=gate, scan_y=scan_y,
                           gated=gated, scan_cache=scan_cache, layer=layer)
     return y, cache
-
-
-def ssm_layer_apply(x, layer):
-    """Cache-free evaluation of the gated block using the parallel scan."""
-    u = x @ layer.w_in.T + layer.b_in
-    xc = _causal_conv(u, layer.conv_w, layer.conv_b) if layer.conv_w is not None else u
-    scan_y = scan_parallel(xc, layer.ssm)
-    gate = sigmoid(x @ layer.w_gate.T + layer.b_gate)
-    return (gate * scan_y) @ layer.w_out.T + layer.b_out
 
 
 def ssm_layer_backward(cache, dy):

@@ -3,6 +3,7 @@ gradient clipping, early stopping on validation accuracy, checkpointing.
 """
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,24 +129,12 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def _evaluate_loss_acc(bundle, samples, loss_cfg, batch_size, branches=None):
+def _evaluate_loss_acc(bundle, samples, loss_cfg, branches=None):
     """Eval-mode loss and accuracy over a sample list."""
-    if branches is None:
-        branches = bundle.head_branches
-    total_w = 0.0
-    total_loss = 0.0
-    correct = 0
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        run_x, kick_x, gamma, labels = batch_inputs(chunk)
-        logits, _ = model_forward(bundle, run_x, kick_x, gamma, mode="eval",
-                                  branches=branches)
-        w = float(np.sum(loss_cfg.class_weights[labels])) \
-            if loss_cfg.normalization == "weight_sum" else float(len(chunk))
-        total_loss += weighted_smoothed_ce(logits, labels, loss_cfg) * w
-        total_w += w
-        correct += int(np.sum(np.argmax(logits, axis=1) == labels))
-    return total_loss / total_w, correct / len(samples)
+    logits = predict_logits(bundle, samples, branches=branches)
+    labels = np.array([s.label for s in samples], dtype=np.int64)
+    loss = weighted_smoothed_ce(logits, labels, loss_cfg)
+    return loss, int(np.sum(np.argmax(logits, axis=1) == labels)) / len(samples)
 
 
 def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
@@ -227,7 +216,6 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
             global_step += 1
 
         val_loss, val_acc = _evaluate_loss_acc(bundle, val_samples, loss_cfg,
-                                               cfg.batch_size,
                                                branches=branches)
         history.epoch.append(epoch)
         history.train_loss.append(float(np.mean(epoch_losses)))
@@ -249,13 +237,6 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
     for name, arr in snapshot.items():
         np.copyto(merged[name], arr)
     return bundle, opt, history
-
-
-def crossval_folds(samples, split, cfg):
-    """Yield (fold, train_samples, val_samples) triples in fold order."""
-    for fold in range(split.k):
-        train, val = split.split(samples, fold)
-        yield fold, train, val
 
 
 def save_checkpoint(path, bundle, opt, history, cfg):
@@ -288,11 +269,23 @@ def save_checkpoint(path, bundle, opt, history, cfg):
     for name in ("epoch", "train_loss", "val_loss", "val_acc", "lr",
                  "step_lr", "step_grad_norm", "step_grad_norm_clipped"):
         arrays[f"hist.{name}"] = np.asarray(getattr(history, name))
-    np.savez(path, **arrays)
+    # Through a file handle, so np.savez keeps the path as given instead of
+    # appending ".npz".
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path):
-    """Returns (bundle, opt, history, cfg)."""
+    """Returns (bundle, opt, history, cfg). An unreadable, corrupt or
+    incomplete checkpoint raises DataError."""
+    try:
+        return _read_checkpoint(path)
+    except (OSError, EOFError, KeyError, ValueError, ConfigError,
+            zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read checkpoint {path!r}: {exc}") from exc
+
+
+def _read_checkpoint(path):
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta_json"]))
         cfg = TrainConfig.from_text(meta["config_text"])

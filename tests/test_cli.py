@@ -13,9 +13,11 @@ from kickdir.cli import (
     EXIT_DATA,
     EXIT_DIVERGED,
     EXIT_OK,
+    _worker_count,
     main,
 )
 from kickdir.data import load_dataset, save_dataset
+from kickdir.errors import ConfigError
 from kickdir.report import parse_kv
 
 
@@ -133,6 +135,67 @@ def test_train_then_evaluate(tmp_path, capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "overall" in out and "true/pred" in out
+
+
+@pytest.fixture(scope="module")
+def ckpt_run(tmp_path_factory):
+    """A d=8 dataset and a checkpoint trained on it, saved without a .npz
+    suffix."""
+    tmp_path = tmp_path_factory.mktemp("ckpt")
+    data = make_dataset(tmp_path)
+    cfg = make_config(tmp_path)
+    ckpt = tmp_path / "fold0.ckpt"
+    assert main(["train", "--data", str(data), "--config", str(cfg),
+                 "--out", str(ckpt)]) == EXIT_OK
+    return data, ckpt
+
+
+def test_checkpoint_path_kept_as_given(ckpt_run, capsys):
+    data, ckpt = ckpt_run
+    assert ckpt.exists()
+    assert not ckpt.with_name(ckpt.name + ".npz").exists()
+    capsys.readouterr()
+    rc = main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt)])
+    assert rc == EXIT_OK
+    assert "overall" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [b"", b"not a checkpoint\n",
+                                     b"PK\x03\x04truncated"])
+def test_garbage_checkpoint_exits_three(tmp_path, capsys, content):
+    data = make_dataset(tmp_path)
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(content)
+    rc = main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot read checkpoint")
+    assert err.count("\n") == 1
+
+
+def test_missing_checkpoint_exits_three(tmp_path):
+    data = make_dataset(tmp_path)
+    assert main(["evaluate", "--data", str(data),
+                 "--checkpoint", str(tmp_path / "nope.ckpt")]) == EXIT_DATA
+
+
+def test_evaluate_rejects_embedding_dim_mismatch(ckpt_run, tmp_path, capsys):
+    _, ckpt = ckpt_run
+    data = make_dataset(tmp_path, dim=12)
+    rc = main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt)])
+    assert rc == EXIT_DATA
+    assert "8-dim" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_non_finite_dataset(ckpt_run, tmp_path, capsys):
+    _, ckpt = ckpt_run
+    manifest, samples = load_dataset(make_dataset(tmp_path))
+    samples[5].kick_seq[0, 0] = float("nan")
+    bad = tmp_path / "nan.pkds"
+    save_dataset(bad, samples, n_classes=manifest.n_classes)
+    rc = main(["evaluate", "--data", str(bad), "--checkpoint", str(ckpt)])
+    assert rc == EXIT_DATA
+    assert samples[5].id in capsys.readouterr().err
 
 
 def test_evaluate_binarizes_to_match_checkpoint(tmp_path, capsys):
@@ -260,6 +323,27 @@ def test_crossval_jobs_match_serial(tmp_path):
             == EXIT_OK
     assert sha256(tmp_path / "serial" / "metrics.kv") \
         == sha256(tmp_path / "parallel" / "metrics.kv")
+
+
+def test_worker_count_is_clamped():
+    cpus = os.cpu_count() or 1
+    assert _worker_count(1, 10) == 1
+    assert _worker_count(8, 3) == min(3, cpus)
+    assert _worker_count(10 ** 9, 10) == min(10, cpus)
+    for bad in (0, -3):
+        with pytest.raises(ConfigError):
+            _worker_count(bad, 10)
+
+
+def test_crossval_rejects_zero_jobs(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    cfg = make_config(tmp_path)
+    run_dir = tmp_path / "run"
+    rc = main(["crossval", "--data", str(data), "--config", str(cfg),
+               "--out-dir", str(run_dir), "--jobs", "0"])
+    assert rc == EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+    assert not run_dir.exists()
 
 
 def test_config_env_var_is_default(tmp_path, monkeypatch):

@@ -16,9 +16,9 @@ from kickdir.data import (
     compute_class_weights,
     generate_synthetic,
     load_dataset,
+    manifest_summary,
     save_dataset,
     stratified_kfold,
-    write_manifest_sidecar,
 )
 from kickdir.errors import (
     ConfigError,
@@ -319,10 +319,19 @@ def test_generator_rejects_narrow_embeddings():
         generate_synthetic(5, embedding_dim=5)
 
 
-def test_sidecar_counts(tmp_path):
+def test_sidecar_counts():
     manifest, samples = generate_synthetic(50, embedding_dim=6, seed=4)
-    text = write_manifest_sidecar(tmp_path / "side.txt", manifest, samples)
+    text = manifest_summary(manifest, samples)
     assert "samples: 50" in text
     assert "right-footed" in text and "left side" in text
     lefties = sum(1 for s in samples if s.meta.foot == 1)
     assert f"total={lefties}" in text
+
+
+def test_load_rejects_non_finite_payload(tmp_path):
+    samples = [make_sample(i, i % 3) for i in range(4)]
+    samples[2].run_seq[1, 3] = np.nan
+    path = tmp_path / "nan.pkds"
+    save_dataset(path, samples)
+    with pytest.raises(DataError, match=samples[2].id):
+        load_dataset(path)

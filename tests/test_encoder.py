@@ -8,7 +8,6 @@ from kickdir.encoder import (
     attn_pool_backward,
     attn_pool_forward,
     branch_param_arrays,
-    encode_branch_apply,
     encode_branch_backward,
     encode_branch_forward,
     init_branch_encoder,
@@ -139,15 +138,6 @@ def test_encoder_rejects_wrong_width():
         encode_branch_forward(rng.normal(size=(2, 5, 7)), enc)
     with pytest.raises(ValueError):
         encode_branch_forward(rng.normal(size=(5, 6)), enc)
-
-
-def test_encoder_apply_matches_forward():
-    rng = np.random.default_rng(17)
-    enc = init_branch_encoder(in_dim=5, width=6, state_size=3, n_layers=2, rng=rng)
-    x = rng.normal(size=(2, 12, 5))
-    y_fwd, _ = encode_branch_forward(x, enc)
-    y_app = encode_branch_apply(x, enc)
-    assert max_rel_error(y_fwd, y_app, floor=1e-6) < 1e-5
 
 
 def test_encoder_backward():

@@ -17,7 +17,6 @@ from kickdir.metrics import (
     mean_report,
     metrics_from_confusion,
     pool_confusions,
-    subgroup_report,
 )
 from kickdir.model import build_model, predict
 from kickdir.report import (
@@ -222,7 +221,7 @@ def test_subgroup_report_via_model():
                       meta_dim=3, fusion_hidden=6)
     bundle = build_model(6, 3, cfg, np.random.default_rng(1))
     _, samples = generate_synthetic(60, embedding_dim=6, n_r=3, n_k=2, seed=5)
-    groups = subgroup_report(bundle, samples)
+    groups = evaluate(bundle, samples)[1].subgroups
     present = [g for g in groups.values() if g is not None]
     assert sum(g.count for g in present if g is not None) == 2 * 60
 

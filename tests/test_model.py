@@ -141,10 +141,10 @@ def test_masking_equals_zeroed_branch_input():
     run_x, kick_x, gamma, _ = make_batch(rng)
     masked, _ = model_forward(bundle, run_x, kick_x, gamma, mode="eval",
                               branches={"run", "kick"})
-    from kickdir.encoder import encode_branch_apply
+    from kickdir.encoder import encode_branch_forward
     from kickdir.fusion import fuse_and_classify
-    t_run = encode_branch_apply(run_x, bundle.run_enc)
-    t_kick = encode_branch_apply(kick_x, bundle.kick_enc)
+    t_run = encode_branch_forward(run_x, bundle.run_enc)[0]
+    t_kick = encode_branch_forward(kick_x, bundle.kick_enc)[0]
     t_meta = np.zeros((4, bundle.fusion.meta_dim))
     direct, _ = fuse_and_classify(t_run, t_kick, t_meta, bundle.fusion,
                                   mode="eval")
@@ -203,10 +203,10 @@ def test_forward_matches_manual_composition():
     bundle = build_model(4, 3, small_config(), np.random.default_rng(20))
     run_x, kick_x, gamma, _ = make_batch(rng)
     got, _ = model_forward(bundle, run_x, kick_x, gamma, mode="eval")
-    from kickdir.encoder import encode_branch_apply
+    from kickdir.encoder import encode_branch_forward
     from kickdir.fusion import fuse_and_classify, meta_branch_forward
-    t_run = encode_branch_apply(run_x, bundle.run_enc)
-    t_kick = encode_branch_apply(kick_x, bundle.kick_enc)
+    t_run = encode_branch_forward(run_x, bundle.run_enc)[0]
+    t_kick = encode_branch_forward(kick_x, bundle.kick_enc)[0]
     t_meta, _ = meta_branch_forward(gamma, bundle.fusion)
     want, _ = fuse_and_classify(t_run, t_kick, t_meta, bundle.fusion,
                                 mode="eval")
@@ -275,3 +275,44 @@ def test_slim_head_gradcheck():
         num = numerical_grad(f, params[name], eps=1e-4)
         worst = max(worst, max_rel_error(analytic, num))
     assert worst < 1e-4, worst
+
+
+def test_delta_init_range_reaches_every_layer():
+    cfg = small_config(n_layers=2, delta_init_min=0.05, delta_init_max=0.05)
+    bundle = build_model(4, 3, cfg, np.random.default_rng(23))
+    from kickdir.numerics import softplus
+    for enc in (bundle.run_enc, bundle.kick_enc):
+        for lay in enc.layers:
+            assert np.allclose(softplus(lay.block.ssm.b_delta), 0.05,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_eval_chunk_size_follows_scan_tensor_size():
+    from kickdir.model import eval_chunk_size
+    narrow = build_model(16, 3, TrainConfig(), np.random.default_rng(24))
+    wide = build_model(128, 3, TrainConfig(), np.random.default_rng(25))
+    assert eval_chunk_size(narrow, 5) == 2 ** 18 // (5 * 32 * 16)
+    assert eval_chunk_size(wide, 5) == 2 ** 18 // (5 * 256 * 16)
+    assert eval_chunk_size(wide, 10 ** 9) == 1
+
+
+def test_predict_logits_over_chunks_equals_single_calls(monkeypatch):
+    import kickdir.model as model_mod
+    bundle = build_model(6, 3, small_config(), np.random.default_rng(26))
+    _, samples = generate_synthetic(11, embedding_dim=6, n_r=3, n_k=2, seed=6)
+    # Three samples per chunk: (3 clips x 8 channels x 2 states) each.
+    monkeypatch.setattr(model_mod, "EVAL_CHUNK_ELEMENTS", 3 * 3 * 8 * 2)
+    assert model_mod.eval_chunk_size(bundle, 3) == 3
+    chunked = predict_logits(bundle, samples)
+    single = np.concatenate([predict_logits(bundle, [s]) for s in samples])
+    assert chunked.shape == (11, 3)
+    assert np.allclose(chunked, single, rtol=0.0, atol=1e-12)
+
+
+def test_predict_logits_rejects_non_finite_sample():
+    from kickdir.errors import DataError
+    bundle = build_model(6, 3, small_config(), np.random.default_rng(27))
+    _, samples = generate_synthetic(4, embedding_dim=6, n_r=3, n_k=2, seed=7)
+    samples[2].kick_seq[1, 0] = np.inf
+    with pytest.raises(DataError, match=samples[2].id):
+        predict_logits(bundle, samples)

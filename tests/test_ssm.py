@@ -14,7 +14,6 @@ from kickdir.ssm import (
     scan_backward,
     scan_parallel,
     scan_recurrent,
-    ssm_layer_apply,
     ssm_layer_backward,
     ssm_layer_forward,
 )
@@ -228,15 +227,6 @@ def test_layer_backward_matches_finite_differences(use_conv):
         num = numerical_grad(lambda _: layer_loss(x, layer, r), arr, eps=1e-4)
         err = max_rel_error(grads[name], num)
         assert err < 1e-5, f"{name}: rel err {err}"
-
-
-def test_layer_apply_matches_forward():
-    rng = np.random.default_rng(53)
-    layer = init_ssm_layer(4, 3, rng)
-    x = rng.normal(size=(2, 9, 4))
-    y_fwd, _ = ssm_layer_forward(x, layer)
-    y_app = ssm_layer_apply(x, layer)
-    assert max_rel_error(y_fwd, y_app, floor=1e-6) < 1e-5
 
 
 def test_layer_is_causal():

@@ -228,7 +228,7 @@ def test_best_snapshot_restored():
     assert all(hist.val_acc[i] <= hist.best_val_acc
                for i in range(len(hist.val_acc)))
     loss_cfg = LossConfig(class_weights=np.ones(3), label_smoothing=0.01)
-    _, acc = _evaluate_loss_acc(bundle, val, loss_cfg, cfg.batch_size)
+    _, acc = _evaluate_loss_acc(bundle, val, loss_cfg)
     assert acc == hist.best_val_acc
 
 
@@ -238,7 +238,7 @@ def test_evaluation_leaves_state_untouched():
     bundle, _, _ = train_fold(train, val, cfg)
     before = {k: a.copy() for k, a in named_state(bundle).items()}
     loss_cfg = LossConfig(class_weights=np.ones(3))
-    _evaluate_loss_acc(bundle, val, loss_cfg, 5)
+    _evaluate_loss_acc(bundle, val, loss_cfg)
     after = named_state(bundle)
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
