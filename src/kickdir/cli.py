@@ -40,7 +40,7 @@ from .report import (
     render_metrics_table,
     render_subgroup_table,
 )
-from .train import load_checkpoint, save_checkpoint, train_fold
+from .train import atomic_write, load_checkpoint, save_checkpoint, train_fold
 
 CONFIG_ENV = "KICKDIR_CONFIG"
 
@@ -69,19 +69,9 @@ def _load_config(path_flag):
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
-def _load_data(path):
-    try:
-        return load_dataset(path)
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path!r}: {exc}") from exc
-
-
 def _write_text(path, text):
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataError(f"cannot write {path!r}: {exc}") from exc
+    with atomic_write(path) as fh:
+        fh.write(text.encode("ascii"))
 
 
 def _apply_label_space(manifest, samples, classes):
@@ -159,26 +149,23 @@ def cmd_generate(args):
         args.samples, embedding_dim=args.dim, n_r=args.run_clips,
         n_k=args.kick_clips, signal_strength=args.signal,
         noise_std=args.noise, seed=args.seed)
-    try:
-        save_dataset(args.out, samples, backbone=manifest.backbone,
-                     embedding_dim=manifest.embedding_dim,
-                     n_r=manifest.n_r, n_k=manifest.n_k)
-    except OSError as exc:
-        raise DataError(f"cannot write dataset {args.out!r}: {exc}") from exc
+    save_dataset(args.out, samples, backbone=manifest.backbone,
+                 embedding_dim=manifest.embedding_dim,
+                 n_r=manifest.n_r, n_k=manifest.n_k)
     print(f"wrote {args.out}")
     print(manifest_summary(manifest, samples), end="")
     return EXIT_OK
 
 
 def cmd_inspect(args):
-    manifest, samples = _load_data(args.data)
+    manifest, samples = load_dataset(args.data)
     print(manifest_summary(manifest, samples), end="")
     return EXIT_OK
 
 
 def cmd_train(args):
     cfg = _load_config(args.config)
-    manifest, samples = _load_data(args.data)
+    manifest, samples = load_dataset(args.data)
     samples, n_classes = _apply_label_space(manifest, samples, args.classes)
     cfg = dataclasses.replace(cfg, n_classes=n_classes)
     split = stratified_kfold(samples, k=cfg.k_folds, seed=cfg.seed)
@@ -197,7 +184,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     bundle, _, _, _ = load_checkpoint(args.checkpoint)
-    manifest, samples = _load_data(args.data)
+    manifest, samples = load_dataset(args.data)
     if manifest.embedding_dim != bundle.embedding_dim:
         raise DataError(
             f"checkpoint expects {bundle.embedding_dim}-dim embeddings, "
@@ -213,7 +200,7 @@ def cmd_evaluate(args):
 
 def cmd_crossval(args):
     cfg = _load_config(args.config)
-    manifest, samples = _load_data(args.data)
+    manifest, samples = load_dataset(args.data)
     samples, n_classes = _apply_label_space(manifest, samples, args.classes)
     cfg = dataclasses.replace(cfg, n_classes=n_classes)
     names = class_names(n_classes)
@@ -232,7 +219,7 @@ def cmd_crossval(args):
 
     folds_dir = os.path.join(args.out_dir, "folds")
     os.makedirs(folds_dir, exist_ok=True)
-    cfg.save(os.path.join(args.out_dir, "config.txt"))
+    _write_text(os.path.join(args.out_dir, "config.txt"), cfg.to_text())
 
     results = _run_folds(samples, split, cfg, jobs=jobs)
 
@@ -270,7 +257,7 @@ def cmd_crossval(args):
 
 def cmd_ablate(args):
     cfg = _load_config(args.config)
-    manifest, samples = _load_data(args.data)
+    manifest, samples = load_dataset(args.data)
     samples, n_classes = _apply_label_space(manifest, samples, args.classes)
     cfg = dataclasses.replace(cfg, n_classes=n_classes)
     branch_rows = _parse_branch_rows(args.branches)

@@ -152,10 +152,6 @@ class TrainConfig:
                     f"line {lineno}: bad value for {key}: {exc}") from exc
         return cls(**values)
 
-    def save(self, path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_text())
-
     @classmethod
     def load(cls, path):
         try:

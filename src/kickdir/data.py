@@ -2,13 +2,13 @@
 label-space reduction, and a synthetic planted-signal generator.
 
 Container layout: a 128-byte ASCII header (magic, class count, dims, sample
-counts, backbone tag) followed by fixed-size records. Each record is a
-16-byte NUL-padded id, the run then kick sequences as little-endian float32
-in (time, feature) order, two metadata bytes, a label byte, and a keeper
-byte where 255 means absent.
+counts, backbone tag) followed by records of one structured dtype: a 16-byte
+id, the run then kick sequences as little-endian float32 in (time, feature)
+order, side, foot and label bytes, and a keeper byte where 255 means absent.
+Save and load enforce the same record rules (_check_records).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,8 +89,6 @@ class DatasetManifest:
     count: int
     class_counts: tuple
     backbone: str
-    ids: tuple
-    version: int = 1
 
 
 @dataclass(frozen=True)
@@ -110,36 +108,48 @@ class FoldSplit:
 
 
 def _class_counts(labels, n_classes):
-    counts = np.bincount(labels, minlength=n_classes)
-    if len(counts) > n_classes:
-        raise DataError("label out of range for declared class count")
-    return tuple(int(c) for c in counts)
+    return tuple(np.bincount(labels, minlength=n_classes).tolist())
 
 
-def _validate_samples(samples, n_classes):
-    if not samples:
-        raise ValueError("need explicit dimensions to save an empty dataset")
-    d = samples[0].run_seq.shape[1]
-    n_r = samples[0].run_seq.shape[0]
-    n_k = samples[0].kick_seq.shape[0]
-    seen = set()
-    for s in samples:
-        if s.run_seq.shape != (n_r, d) or s.kick_seq.shape != (n_k, d):
-            raise DimensionMismatchError(
-                f"sample {s.id}: sequence shapes differ from the rest of the set")
-        if not 0 <= s.label < n_classes:
-            raise DataError(f"sample {s.id}: label {s.label} out of range")
-        if s.gk_direction is not None and not 0 <= s.gk_direction < n_classes:
-            raise DataError(f"sample {s.id}: keeper direction out of range")
-        sid = s.id.encode("ascii", errors="strict") if s.id else b""
-        if not 1 <= len(sid) <= ID_SIZE:
-            raise DataError(f"sample id {s.id!r} must be 1..{ID_SIZE} ASCII bytes")
-        if b"\x00" in sid:
-            raise DataError(f"sample id {s.id!r} contains NUL")
-        if s.id in seen:
-            raise DataError(f"duplicate sample id {s.id!r}")
-        seen.add(s.id)
-    return d, n_r, n_k
+def _record_dtype(d, n_r, n_k):
+    """One container record: the id bytes, the run and kick sequences, then
+    side, foot, label and keeper bytes."""
+    return np.dtype([("id", "u1", (ID_SIZE,)), ("run", "<f4", (n_r, d)),
+                     ("kick", "<f4", (n_k, d)), ("side", "u1"), ("foot", "u1"),
+                     ("label", "u1"), ("gk", "u1")])
+
+
+def _check_records(ids, label, gk, n_classes):
+    """The record rules shared by save and load. Returns the ids as a bytes
+    array.
+
+    ids holds one row of byte values per record; save passes code points and
+    one extra column, which must be NUL, to catch an over-long id. An id is
+    1..ID_SIZE printable ASCII bytes followed only by NUL padding, and ids
+    are distinct. Labels and keeper directions lie in the label space, where
+    a keeper byte of GK_ABSENT means no keeper.
+    """
+    nul = ids == 0
+    ok = ((ids >= 0x20) & (ids < 0x7F)) | nul
+    ok &= ~(np.logical_or.accumulate(nul, axis=1) & ~nul)
+    ok = ok.all(axis=1) & ~nul[:, 0] & nul[:, ID_SIZE:].all(axis=1)
+    if not ok.all():
+        raise DataError(f"sample index {np.argmin(ok)}: id must be "
+                        f"1..{ID_SIZE} printable ASCII bytes followed only "
+                        f"by NUL padding")
+    keys = np.ascontiguousarray(ids[:, :ID_SIZE], dtype=np.uint8) \
+        .view(f"S{ID_SIZE}")[:, 0]
+    unique, counts = np.unique(keys, return_counts=True)
+    if len(unique) < len(keys):
+        dup = unique[np.argmax(counts > 1)].decode()
+        raise DataError(f"duplicate sample id {dup!r}")
+    bad = (label < 0) | (label >= n_classes) \
+        | ((gk != GK_ABSENT) & ((gk < 0) | (gk >= n_classes)))
+    if bad.any():
+        i = np.argmax(bad)
+        raise DataError(f"sample {keys[i].decode()}: label {label[i]} or "
+                        f"keeper direction {gk[i]} out of range")
+    return keys
 
 
 def _build_header(d, n_r, n_k, n_classes, count, class_counts, backbone):
@@ -161,7 +171,8 @@ def save_dataset(path, samples, backbone="unspecified", n_classes=3,
     Empty datasets need the sequence dimensions passed explicitly.
     """
     if samples:
-        d, nr, nk = _validate_samples(samples, n_classes)
+        nr, d = samples[0].run_seq.shape
+        nk = samples[0].kick_seq.shape[0]
         if embedding_dim not in (None, d) or n_r not in (None, nr) \
                 or n_k not in (None, nk):
             raise DimensionMismatchError(
@@ -170,23 +181,37 @@ def save_dataset(path, samples, backbone="unspecified", n_classes=3,
         if embedding_dim is None or n_r is None or n_k is None:
             raise ValueError("empty dataset needs embedding_dim, n_r, n_k")
         d, nr, nk = embedding_dim, n_r, n_k
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    counts = _class_counts(labels, n_classes) if samples else (0,) * n_classes
-    header = _build_header(d, nr, nk, n_classes, len(samples), counts, backbone)
-    chunks = [header]
     for s in samples:
-        sid = s.id.encode("ascii")
-        chunks.append(sid + b"\x00" * (ID_SIZE - len(sid)))
-        chunks.append(np.ascontiguousarray(s.run_seq, dtype="<f4").tobytes())
-        chunks.append(np.ascontiguousarray(s.kick_seq, dtype="<f4").tobytes())
-        gk = GK_ABSENT if s.gk_direction is None else s.gk_direction
-        chunks.append(bytes([s.meta.side, s.meta.foot, s.label, gk]))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        if s.run_seq.shape != (nr, d) or s.kick_seq.shape != (nk, d):
+            raise DimensionMismatchError(
+                f"sample {s.id}: sequence shapes differ from the rest of the set")
+    # One code point per character and a spare column, which a longer id
+    # fills; a non-ASCII character shows as a code point above 0x7F.
+    ids = np.array([s.id for s in samples], dtype=f"U{ID_SIZE + 1}") \
+        .view(np.uint32).reshape(len(samples), ID_SIZE + 1)
+    label = np.array([s.label for s in samples], dtype=np.int64)
+    gk = np.array([GK_ABSENT if s.gk_direction is None else s.gk_direction
+                   for s in samples], dtype=np.int64)
+    _check_records(ids, label, gk, n_classes)
+    # Field by field: half the time of one tuple per sample.
+    records = np.zeros(len(samples), _record_dtype(d, nr, nk))
+    if samples:  # [] does not broadcast to (0, n_r, d)
+        records["run"] = [s.run_seq for s in samples]
+        records["kick"] = [s.kick_seq for s in samples]
+    records["side"] = [s.meta.side for s in samples]
+    records["foot"] = [s.meta.foot for s in samples]
+    records["id"], records["label"], records["gk"] = ids[:, :ID_SIZE], label, gk
+    counts = _class_counts(label, n_classes)
+    header = _build_header(d, nr, nk, n_classes, len(samples), counts, backbone)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(records)
+    except OSError as exc:
+        raise DataError(f"cannot write dataset {str(path)!r}: {exc}") from exc
     return DatasetManifest(embedding_dim=d, n_r=nr, n_k=nk,
                            n_classes=n_classes, count=len(samples),
-                           class_counts=counts, backbone=backbone,
-                           ids=tuple(s.id for s in samples))
+                           class_counts=counts, backbone=backbone)
 
 
 def _parse_header(raw):
@@ -228,92 +253,64 @@ def _parse_header(raw):
     return n_classes, d, nr, nk, count, counts, fields["backbone"]
 
 
-def _record_id(payload, offset, index):
-    raw = payload[offset:offset + ID_SIZE]
-    sid = raw.split(b"\x00", 1)[0]
-    if not sid or not all(0x20 <= b < 0x7F for b in sid):
-        raise DataError(f"sample index {index}: invalid id field")
-    return sid.decode("ascii")
-
-
 def load_dataset(path):
-    """Read a container file. Returns (manifest, samples)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Read a container file. Returns (manifest, samples).
+
+    The samples' sequences are views into one buffer holding the file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = bytearray(fh.read())
+    except OSError as exc:
+        raise DataError(f"cannot read dataset {str(path)!r}: {exc}") from exc
     n_classes, d, nr, nk, count, counts, backbone = _parse_header(raw)
-    payload = raw[HEADER_SIZE:]
-    record = ID_SIZE + 4 * d * (nr + nk) + 4
-    expected = count * record
-    if len(payload) > expected:
+    try:
+        layout = _record_dtype(d, nr, nk)
+    except ValueError as exc:  # a record too large for numpy
+        raise CorruptHeaderError(f"header dimensions too large ({exc})") \
+            from exc
+    size = len(raw) - HEADER_SIZE
+    expected = count * layout.itemsize
+    if size > expected:
         raise DimensionMismatchError(
-            f"{len(payload) - expected} trailing bytes after the last record")
-    if len(payload) < expected:
-        idx = len(payload) // record
-        name = ""
-        if idx * record + ID_SIZE <= len(payload):
-            try:
-                name = f" (id {_record_id(payload, idx * record, idx)})"
-            except DataError:
-                pass
-        if len(payload) % record:
-            raise DimensionMismatchError(
-                f"record boundary broken at sample index {idx}{name}: "
-                f"row data does not match declared dimensions")
-        raise TruncatedPayloadError(
-            f"payload ends {expected - len(payload)} bytes early; first "
-            f"missing record has index {idx}{name}")
+            f"{size - expected} trailing bytes after the last record")
+    if size < expected:
+        idx, rest = divmod(size, layout.itemsize)
+        if not rest:
+            raise TruncatedPayloadError(
+                f"payload ends {expected - size} bytes early; first "
+                f"missing record has index {idx}")
+        sid = raw[len(raw) - rest:][:ID_SIZE].split(b"\x00")[0]
+        raise DimensionMismatchError(
+            f"record boundary broken at sample index {idx} (id "
+            f"{sid.decode('latin-1')!r}): row data does not match declared "
+            f"dimensions")
 
-    # One vectorized check over all records: a per-record np.isfinite in the
-    # loop below would add more than half to the load time.
-    layout = np.dtype([("id", f"V{ID_SIZE}"), ("emb", "<f4", (nr + nk) * d),
-                       ("tail", "V4")])
-    finite = np.isfinite(np.frombuffer(payload, dtype=layout)["emb"]).all(axis=1)
+    records = np.frombuffer(raw, dtype=layout, count=count, offset=HEADER_SIZE)
+    names = _check_records(records["id"], records["label"], records["gk"],
+                           n_classes).astype(f"U{ID_SIZE}").tolist()
+    bad = (records["side"] > 1) | (records["foot"] > 1)
+    if bad.any():
+        raise DataError(f"sample {names[np.argmax(bad)]}: "
+                        f"metadata bytes must be 0 or 1")
+    run, kick = records["run"], records["kick"]
+    finite = np.isfinite(run).all(axis=(1, 2)) & np.isfinite(kick).all(axis=(1, 2))
     if not finite.all():
-        idx = int(np.argmin(finite))
-        raise DataError(f"sample {_record_id(payload, idx * record, idx)}: "
+        raise DataError(f"sample {names[np.argmin(finite)]}: "
                         f"non-finite embedding values")
-
-    samples = []
-    seen = set()
-    run_bytes = 4 * nr * d
-    kick_bytes = 4 * nk * d
-    for i in range(count):
-        off = i * record
-        sid = _record_id(payload, off, i)
-        if sid in seen:
-            raise DataError(f"duplicate sample id {sid!r}")
-        seen.add(sid)
-        off += ID_SIZE
-        run = np.frombuffer(payload, dtype="<f4", count=nr * d,
-                            offset=off).astype(np.float32)
-        off += run_bytes
-        kick = np.frombuffer(payload, dtype="<f4", count=nk * d,
-                             offset=off).astype(np.float32)
-        off += kick_bytes
-        side, foot, label, gk = payload[off:off + 4]
-        if side not in (0, 1) or foot not in (0, 1):
-            raise DataError(f"sample {sid}: metadata bytes must be 0 or 1")
-        if label >= n_classes:
-            raise DataError(f"sample {sid}: label byte {label} out of range")
-        if gk != GK_ABSENT and gk >= n_classes:
-            raise DataError(f"sample {sid}: keeper byte {gk} out of range")
-        samples.append(PenaltySample(
-            id=sid,
-            run_seq=run.reshape(nr, d),
-            kick_seq=kick.reshape(nk, d),
-            meta=Metadata(side=side, foot=foot),
-            label=int(label),
-            gk_direction=None if gk == GK_ABSENT else int(gk),
-        ))
-    actual = _class_counts(np.array([s.label for s in samples], dtype=np.int64),
-                           n_classes) if samples else (0,) * n_classes
+    actual = _class_counts(records["label"], n_classes)
     if actual != counts:
         raise DataError(
             f"header class counts {counts} do not match records {actual}")
+    fields = [records[f].tolist() for f in ("side", "foot", "label", "gk")]
+    samples = [PenaltySample(id=sid, run_seq=r, kick_seq=k,
+                             meta=Metadata(side=side, foot=foot), label=lab,
+                             gk_direction=None if g == GK_ABSENT else g)
+               for sid, r, k, side, foot, lab, g in zip(names, run, kick,
+                                                        *fields)]
     manifest = DatasetManifest(embedding_dim=d, n_r=nr, n_k=nk,
                                n_classes=n_classes, count=count,
-                               class_counts=counts, backbone=backbone,
-                               ids=tuple(s.id for s in samples))
+                               class_counts=counts, backbone=backbone)
     return manifest, samples
 
 
@@ -457,11 +454,10 @@ def generate_synthetic(num_samples, embedding_dim=16, n_r=5, n_k=3,
             gk_direction=gk,
         ))
     labels = np.array([s.label for s in samples], dtype=np.int64)
-    counts = _class_counts(labels, 3) if samples else (0, 0, 0)
+    counts = _class_counts(labels, 3)
     manifest = DatasetManifest(embedding_dim=embedding_dim, n_r=n_r, n_k=n_k,
                                n_classes=3, count=num_samples,
-                               class_counts=counts, backbone=backbone,
-                               ids=tuple(s.id for s in samples))
+                               class_counts=counts, backbone=backbone)
     return manifest, samples
 
 

@@ -3,7 +3,9 @@ gradient clipping, early stopping on validation accuracy, checkpointing.
 """
 
 import json
+import os
 import zipfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,6 +241,24 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
     return bundle, opt, history
 
 
+@contextmanager
+def atomic_write(path):
+    """Open a temporary binary file beside path and move it over path when
+    the block completes: readers see the old file or all of the new one. A
+    failure removes the temporary file; an OSError becomes a DataError."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {str(path)!r}: {exc.strerror or exc}") \
+            from exc
+    finally:
+        with suppress(OSError):
+            os.remove(tmp)
+
+
 def save_checkpoint(path, bundle, opt, history, cfg):
     """Lossless checkpoint: parameters, buffers, optimizer moments, history,
     and the config text needed to rebuild the bundle."""
@@ -271,7 +291,7 @@ def save_checkpoint(path, bundle, opt, history, cfg):
         arrays[f"hist.{name}"] = np.asarray(getattr(history, name))
     # Through a file handle, so np.savez keeps the path as given instead of
     # appending ".npz".
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         np.savez(fh, **arrays)
 
 

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import dataclasses
+import errno
 import hashlib
 import os
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import kickdir.train
 from kickdir.cli import (
     CONFIG_ENV,
     EXIT_CONFIG,
@@ -14,11 +16,13 @@ from kickdir.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
     _worker_count,
+    _write_text,
     main,
 )
 from kickdir.data import load_dataset, save_dataset
-from kickdir.errors import ConfigError
+from kickdir.errors import ConfigError, DataError
 from kickdir.report import parse_kv
+from kickdir.train import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(autouse=True)
@@ -158,6 +162,65 @@ def test_checkpoint_path_kept_as_given(ckpt_run, capsys):
     rc = main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt)])
     assert rc == EXIT_OK
     assert "overall" in capsys.readouterr().out
+
+
+def test_train_into_missing_directory_exits_three(tmp_path, capsys):
+    data = make_dataset(tmp_path, samples=60)
+    cfg = make_config(tmp_path, max_epochs=1)
+    out = tmp_path / "nodir" / "x.ckpt"
+    rc = main(["train", "--data", str(data), "--config", str(cfg),
+               "--out", str(out)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot write") and "x.ckpt" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "nodir").exists()
+
+
+class _DiskFullFile:
+    """A file whose first write stores half its data, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("target", ["metrics.kv", "fold_00.npz"])
+def test_failed_write_keeps_existing_file(ckpt_run, tmp_path, monkeypatch,
+                                          target):
+    _, ckpt = ckpt_run
+    bundle, opt, history, cfg = load_checkpoint(ckpt)
+    path = tmp_path / target
+
+    def write(folds):
+        if target == "metrics.kv":
+            _write_text(str(path), f"folds={folds}\nmean.accuracy=0.5\n")
+        else:
+            history.best_epoch = folds
+            save_checkpoint(str(path), bundle, opt, history, cfg)
+
+    write(3)
+    before = path.read_bytes()
+    monkeypatch.setattr(kickdir.train, "open",
+                        lambda *a, **k: _DiskFullFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(DataError, match="No space left"):
+        write(4)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [target]
 
 
 @pytest.mark.parametrize("content", [b"", b"not a checkpoint\n",

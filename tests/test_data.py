@@ -1,7 +1,10 @@
 """Tests for the dataset container, folds, weights, and the generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kickdir.data import (
     CENTER,
@@ -335,3 +338,114 @@ def test_load_rejects_non_finite_payload(tmp_path):
     save_dataset(path, samples)
     with pytest.raises(DataError, match=samples[2].id):
         load_dataset(path)
+
+
+def test_saved_bytes_are_pinned(tmp_path):
+    # SHA-256 of this archive as written by the per-record byte writer that
+    # the structured record layout replaced
+    _, samples = generate_synthetic(5, embedding_dim=6, seed=0)
+    path = tmp_path / "golden.pkds"
+    save_dataset(path, samples)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "39128da665ba60c6f919f3222127af4f9556a4e3c16a189751db6cf9c2a612e9"
+
+
+# Each case patches one field of the second of three records (ids
+# s000000..s000002) and names the sample the error must mention: its id where
+# the id is readable, its index where the id itself is broken.
+@pytest.mark.parametrize("field, value, name", [
+    ("side", b"\x02", "s000001"),
+    ("foot", b"\x02", "s000001"),
+    ("label", b"\x03", "s000001"),
+    ("gk", b"\x03", "s000001"),
+    ("gk", b"\xfe", "s000001"),
+    ("id", b"s000\t01", "index 1"),
+    ("id", b"s000001\x00x", "index 1"),
+    ("id", b"", "index 1"),
+    ("id", b"s000002", "s000002"),
+], ids=["side", "foot", "label", "keeper", "keeper-254", "tab-in-id",
+        "byte-after-nul", "empty-id", "duplicate-id"])
+def test_load_rejects_bad_record(tmp_path, field, value, name):
+    path = tmp_path / "patched.pkds"
+    save_dataset(path, [make_sample(i, i % 3, gk=i % 3) for i in range(3)])
+    raw = bytearray(path.read_bytes())
+    record = (len(raw) - 128) // 3
+    offset = {"id": 0, "side": record - 4, "foot": record - 3,
+              "label": record - 2, "gk": record - 1}[field]
+    if field == "id":
+        value = value.ljust(16, b"\x00")
+    start = 128 + record + offset
+    raw[start:start + len(value)] = value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=name):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("sid", ["kick\t1", "x" * 17, "kick\u00e91", "",
+                                 "a\x00b"])
+def test_save_rejects_invalid_id(tmp_path, sid):
+    sample = make_sample(0, LEFT)
+    sample.id = sid
+    with pytest.raises(DataError):
+        save_dataset(tmp_path / "bad.pkds", [sample, make_sample(1, RIGHT)])
+
+
+def test_sixteen_byte_id_round_trips(tmp_path):
+    sample = make_sample(0, LEFT)
+    sample.id = "k" * 16
+    path = tmp_path / "long.pkds"
+    save_dataset(path, [sample])
+    assert load_dataset(path)[1][0].id == "k" * 16
+
+
+def test_loaded_sequences_are_writable_views(tmp_path):
+    path = tmp_path / "views.pkds"
+    save_dataset(path, [make_sample(i, i % 3) for i in range(3)])
+    _, samples = load_dataset(path)
+    for s in samples:
+        for seq in (s.run_seq, s.kick_seq):
+            assert seq.dtype == np.float32
+            assert seq.flags.c_contiguous and seq.flags.writeable
+    assert samples[0].run_seq.base is samples[1].run_seq.base
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A valid archive of four records, one without a keeper direction."""
+    _, samples = generate_synthetic(4, embedding_dim=6, n_r=2, n_k=2, seed=1)
+    samples[2].gk_direction = None
+    path = tmp_path_factory.mktemp("fuzz") / "base.pkds"
+    save_dataset(path, samples)
+    return path.read_bytes()
+
+
+_mutations = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10_000)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=64)),
+    st.tuples(st.just("set"), st.lists(
+        st.tuples(st.integers(0, 10_000), st.integers(0, 255)),
+        min_size=1, max_size=6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=_mutations)
+def test_load_fuzz_raises_only_data_errors(fuzz_base, tmp_path_factory,
+                                           mutation):
+    """A truncated, extended or byte-patched archive loads or raises a
+    DataError, never a ValueError, IndexError or UnicodeDecodeError."""
+    raw = bytearray(fuzz_base)
+    kind, arg = mutation
+    if kind == "truncate":
+        del raw[arg % len(raw):]
+    elif kind == "extend":
+        raw += arg
+    else:
+        for pos, value in arg:
+            raw[pos % len(raw)] = value
+    path = tmp_path_factory.getbasetemp() / "fuzzed.pkds"
+    path.write_bytes(bytes(raw))
+    try:
+        load_dataset(path)
+    except DataError:
+        pass
