@@ -190,8 +190,9 @@ def save_dataset(path, samples, backbone="unspecified", n_classes=3,
     ids = np.array([s.id for s in samples], dtype=f"U{ID_SIZE + 1}") \
         .view(np.uint32).reshape(len(samples), ID_SIZE + 1)
     label = np.array([s.label for s in samples], dtype=np.int64)
-    gk = np.array([GK_ABSENT if s.gk_direction is None else s.gk_direction
-                   for s in samples], dtype=np.int64)
+    # An explicit GK_ABSENT would load back as no keeper: map it out of range.
+    gk = np.array([GK_ABSENT if g is None else -1 if g == GK_ABSENT else g
+                   for g in (s.gk_direction for s in samples)], dtype=np.int64)
     _check_records(ids, label, gk, n_classes)
     # Field by field: half the time of one tuple per sample.
     records = np.zeros(len(samples), _record_dtype(d, nr, nk))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import softmax
+from .numerics import softmax, weight_grad
 from .ssm import (
     SsmLayerParams,
     init_ssm_layer,
@@ -174,7 +174,7 @@ def encode_branch_backward(cache, dpooled):
         grads[f"layers.{i}.ln_gamma"] = dgamma
         grads[f"layers.{i}.ln_beta"] = dbeta
         dh = dh + dres
-    grads["proj_w"] = np.einsum("bth,btd->hd", dh, cache.x_in)
+    grads["proj_w"] = weight_grad(dh, cache.x_in)
     grads["proj_b"] = dh.sum(axis=(0, 1))
     dx = dh @ params.w_proj
     return dx, grads

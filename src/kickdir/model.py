@@ -109,8 +109,6 @@ class ModelCache:
     kick_cache: object
     meta_cache: object
     fusion_cache: object
-    branches: frozenset
-    batch: int
 
 
 def model_forward(bundle, run_x, kick_x, gamma, mode="train", rng=None,
@@ -154,8 +152,7 @@ def model_forward(bundle, run_x, kick_x, gamma, mode="train", rng=None,
     if not train:
         return logits, None
     cache = ModelCache(run_cache=run_cache, kick_cache=kick_cache,
-                       meta_cache=meta_cache, fusion_cache=fusion_cache,
-                       branches=branches, batch=batch)
+                       meta_cache=meta_cache, fusion_cache=fusion_cache)
     return logits, cache
 
 

@@ -51,3 +51,9 @@ def require_finite(name, *arrays):
     for arr in arrays:
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name}: non-finite values in input")
+
+
+def weight_grad(dout, inp):
+    """Gradient of a linear map's weight: the outer products dout_t inp_t^T
+    summed over every leading axis, as one matrix product."""
+    return dout.reshape(-1, dout.shape[-1]).T @ inp.reshape(-1, inp.shape[-1])

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import require_finite, sigmoid, softplus, softplus_inverse
+from .numerics import (require_finite, sigmoid, softplus, softplus_inverse,
+                       weight_grad)
 
 # Below this |delta * a| the exact b_bar expression (exp(z)-1)/a * b is
 # replaced by its limit delta * b to avoid catastrophic cancellation.
@@ -92,24 +93,28 @@ def discretize_zoh(a, b, delta):
         raise ValueError("discretize_zoh: evolution parameter must be negative")
     if np.any(delta < 0):
         raise ValueError("discretize_zoh: step size must be non-negative")
-    z = delta * a
-    a_bar = np.exp(z)
-    b_bar = np.where(np.abs(z) < ZOH_LIMIT, delta * b, (a_bar - 1.0) / a * b)
-    return a_bar, b_bar
+    a_bar = np.exp(delta * a)
+    phi, _ = _zoh_phi(delta, a, a_bar)
+    return a_bar, phi * b
+
+
+def _zoh_phi(delta, a, a_bar):
+    """(phi, mask): phi = (a_bar - 1)/a, so that b_bar = phi * b, or its limit
+    delta where the mask |delta*a| < ZOH_LIMIT holds. a_bar = exp(delta*a)."""
+    small = np.abs(delta * a) < ZOH_LIMIT
+    return np.where(small, delta, (a_bar - 1.0) / a), small
 
 
 @dataclass
 class ScanCache:
+    """What scan_backward reads; it recomputes phi from a_bar."""
+
     x: np.ndarray       # (B, T, H) scan input
     pre: np.ndarray     # (B, T, H) delta pre-activation
     delta: np.ndarray   # (B, T, H)
     b: np.ndarray       # (B, T, N)
     c: np.ndarray       # (B, T, N)
-    a: np.ndarray       # (H, N)
     a_bar: np.ndarray   # (B, T, H, N)
-    phi: np.ndarray     # (B, T, H, N) b_bar = phi * b
-    b_bar: np.ndarray   # (B, T, H, N)
-    small: np.ndarray   # (B, T, H, N) bool, limit-branch mask
     hs: np.ndarray      # (B, T, H, N) hidden states
     params: SsmParams
 
@@ -121,14 +126,10 @@ def _selective_parts(x, params):
     b = x @ params.w_b.T + params.b_b
     c = x @ params.w_c.T + params.b_c
     a = -np.exp(params.a_log)
-    z = delta[..., None] * a
-    a_bar = np.exp(z)
-    small = np.abs(z) < ZOH_LIMIT
-    phi = np.where(small, np.broadcast_to(delta[..., None], z.shape),
-                   (a_bar - 1.0) / a)
-    b_bar = phi * b[:, :, None, :]
-    u = b_bar * x[..., None]
-    return pre, delta, b, c, a, a_bar, small, phi, b_bar, u
+    a_bar = np.exp(delta[..., None] * a)
+    phi, _ = _zoh_phi(delta[..., None], a, a_bar)
+    u = phi * b[:, :, None, :] * x[..., None]
+    return pre, delta, b, c, a_bar, u
 
 
 def _readout(hs, c, x, skip_d):
@@ -159,18 +160,14 @@ def scan_recurrent(x, params):
 
 
 def _scan_forward(x, params, need_cache=True):
-    pre, delta, b, c, a, a_bar, small, phi, b_bar, u = _selective_parts(x, params)
-    bsz, t_len = x.shape[0], x.shape[1]
-    hs = np.empty_like(u)
-    h = np.zeros((bsz,) + u.shape[2:])
-    for t in range(t_len):
-        h = a_bar[:, t] * h + u[:, t]
-        hs[:, t] = h
+    pre, delta, b, c, a_bar, hs = _selective_parts(x, params)
+    for t in range(1, x.shape[1]):  # in place over u: s_0 = u_0
+        hs[:, t] += a_bar[:, t] * hs[:, t - 1]
     y = _readout(hs, c, x, params.skip_d)
     if not need_cache:
         return y, None
-    cache = ScanCache(x=x, pre=pre, delta=delta, b=b, c=c, a=a, a_bar=a_bar,
-                      phi=phi, b_bar=b_bar, small=small, hs=hs, params=params)
+    cache = ScanCache(x=x, pre=pre, delta=delta, b=b, c=c, a_bar=a_bar, hs=hs,
+                      params=params)
     return y, cache
 
 
@@ -188,7 +185,7 @@ def scan_parallel(x, params):
     doubling yields all hidden states in ceil(log2 T) combine passes.
     """
     x, squeeze = _check_scan_input("scan_parallel", x)
-    _, _, _, c, _, a_bar, _, _, _, u = _selective_parts(x, params)
+    _, _, _, c, a_bar, u = _selective_parts(x, params)
     a_acc = a_bar.copy()
     u_acc = u.copy()
     t_len = x.shape[1]
@@ -210,57 +207,53 @@ def scan_backward(cache, dy):
     State gradients propagate right-to-left: ds_{t-1} += a_bar_t * ds_t.
     """
     p = cache.params
-    x, hs, a_bar = cache.x, cache.hs, cache.a_bar
-    bsz, t_len = x.shape[0], x.shape[1]
+    x, b, delta, hs, a_bar = cache.x, cache.b, cache.delta, cache.hs, cache.a_bar
+    t_len = x.shape[1]
+    a = -np.exp(p.a_log)
+    delta_e = delta[..., None]
 
     d_skip = np.einsum("bth,bth->h", dy, x)
     dx = dy * p.skip_d
     dc = np.einsum("bth,bthn->btn", dy, hs)
-    dh_direct = dy[..., None] * cache.c[:, :, None, :]
 
-    d_hs = np.empty_like(hs)
-    carry = np.zeros((bsz,) + hs.shape[2:])
-    for t in range(t_len - 1, -1, -1):
-        carry = dh_direct[:, t] + carry
-        d_hs[:, t] = carry
-        carry = a_bar[:, t] * carry
+    # d_hs starts as the readout path; g[:, t-1] = a_bar_t * ds_t is what
+    # step t hands back to step t-1
+    d_hs = dy[..., None] * cache.c[:, :, None, :]
+    g = np.empty_like(hs[:, 1:])
+    for t in range(t_len - 1, 0, -1):
+        np.multiply(a_bar[:, t], d_hs[:, t], out=g[:, t - 1])
+        d_hs[:, t - 1] += g[:, t - 1]
 
-    h_prev = np.concatenate([np.zeros_like(hs[:, :1]), hs[:, :-1]], axis=1)
-    d_a_bar = d_hs * h_prev
-    du = d_hs
-    db_bar = du * x[..., None]
-    dx += np.einsum("bthn,bthn->bth", du, cache.b_bar)
+    # through a_bar = exp(delta * a): g becomes d_a_bar * a_bar, where
+    # d_a_bar_t = ds_t * h_{t-1} is zero at t = 0
+    g *= hs[:, :-1]
+    ddelta = np.zeros_like(delta)
+    ddelta[:, 1:] = np.einsum("bthn,hn->bth", g, a)
+    da = np.einsum("bthn,bth->hn", g, delta[:, 1:])
 
-    # through b_bar = phi * b
-    dphi = db_bar * cache.b[:, :, None, :]
-    db = np.einsum("bthn,bthn->btn", db_bar, cache.phi)
-    delta_e = cache.delta[..., None]
+    # through u = phi * b * x
+    phi, small = _zoh_phi(delta_e, a, a_bar)
+    d_bx = d_hs * phi
+    dx += np.einsum("bthn,btn->bth", d_bx, b)
+    db = np.einsum("bthn,bth->btn", d_bx, x)
+    dphi = np.multiply(d_hs, x[..., None], out=d_hs)  # d_hs is spent
+    dphi *= b[:, :, None, :]
     # phi branches: limit is delta (d/ddelta = 1, d/da = 0); exact branch is
     # (a_bar - 1)/a (d/ddelta = a_bar, d/da = (delta*a_bar - phi)/a)
-    ddelta = np.einsum("bthn->bth", dphi * np.where(cache.small, 1.0, a_bar))
-    da = np.sum(dphi * np.where(cache.small, 0.0,
-                                (delta_e * a_bar - cache.phi) / cache.a),
-                axis=(0, 1))
-    # through a_bar = exp(delta * a)
-    ddelta += np.einsum("bthn->bth", d_a_bar * a_bar * cache.a)
-    da += np.sum(d_a_bar * a_bar * delta_e, axis=(0, 1))
-    da_log = da * cache.a  # a = -exp(a_log)
+    ddelta += np.einsum("bthn,bthn->bth", dphi, np.where(small, 1.0, a_bar))
+    da += np.einsum("bthn,bthn->hn", dphi,
+                    np.where(small, 0.0, delta_e * a_bar - phi)) / a
+    da_log = da * a  # a = -exp(a_log)
 
     dpre = ddelta * sigmoid(cache.pre)
-    dw_delta = np.einsum("bth,btg->hg", dpre, x)
-    db_delta = dpre.sum(axis=(0, 1))
     dx += dpre @ p.w_delta
-
-    dw_b = np.einsum("btn,bth->nh", db, x)
-    db_b = db.sum(axis=(0, 1))
     dx += db @ p.w_b
-    dw_c = np.einsum("btn,bth->nh", dc, x)
-    db_c = dc.sum(axis=(0, 1))
     dx += dc @ p.w_c
 
     grads = {"a_log": da_log, "skip_d": d_skip,
-             "w_delta": dw_delta, "b_delta": db_delta,
-             "w_b": dw_b, "b_b": db_b, "w_c": dw_c, "b_c": db_c}
+             "w_delta": weight_grad(dpre, x), "b_delta": dpre.sum(axis=(0, 1)),
+             "w_b": weight_grad(db, x), "b_b": db.sum(axis=(0, 1)),
+             "w_c": weight_grad(dc, x), "b_c": dc.sum(axis=(0, 1))}
     return dx, grads
 
 
@@ -305,38 +298,31 @@ def init_ssm_layer(d_model, state_size, rng, expand=2, conv_width=4,
 
 
 def _causal_conv(u, conv_w, conv_b):
-    """Depthwise causal convolution over time; zero-padded on the left."""
-    k = conv_w.shape[1]
+    """Depthwise causal convolution over time: out_t = conv_b +
+    sum_j conv_w[:, j] * u_{t-j}, where u before the start is zero."""
     t_len = u.shape[1]
-    up = np.pad(u, ((0, 0), (k - 1, 0), (0, 0)))
     out = np.broadcast_to(conv_b, u.shape).copy()
-    for j in range(k):
-        out += conv_w[:, j] * up[:, k - 1 - j:k - 1 - j + t_len]
+    for j in range(min(conv_w.shape[1], t_len)):
+        out[:, j:] += conv_w[:, j] * u[:, :t_len - j]
     return out
 
 
 def _causal_conv_backward(dout, u, conv_w):
-    k = conv_w.shape[1]
     t_len = u.shape[1]
-    up = np.pad(u, ((0, 0), (k - 1, 0), (0, 0)))
-    dconv_b = dout.sum(axis=(0, 1))
-    dconv_w = np.empty_like(conv_w)
-    dup = np.zeros_like(up)
-    for j in range(k):
-        seg = slice(k - 1 - j, k - 1 - j + t_len)
-        dconv_w[:, j] = np.einsum("bth,bth->h", dout, up[:, seg])
-        dup[:, seg] += conv_w[:, j] * dout
-    return dup[:, k - 1:], dconv_w, dconv_b
+    du = np.zeros_like(u)
+    dconv_w = np.zeros_like(conv_w)
+    for j in range(min(conv_w.shape[1], t_len)):
+        dconv_w[:, j] = np.einsum("bth,bth->h", dout[:, j:], u[:, :t_len - j])
+        du[:, :t_len - j] += conv_w[:, j] * dout[:, j:]
+    return du, dconv_w, dout.sum(axis=(0, 1))
 
 
 @dataclass
 class SsmLayerCache:
     x: np.ndarray
     u: np.ndarray
-    xc: np.ndarray
     gate: np.ndarray
     scan_y: np.ndarray
-    gated: np.ndarray
     scan_cache: ScanCache
     layer: SsmLayerParams
 
@@ -352,12 +338,11 @@ def ssm_layer_forward(x, layer, need_cache=True):
     xc = _causal_conv(u, layer.conv_w, layer.conv_b) if layer.conv_w is not None else u
     scan_y, scan_cache = _scan_forward(xc, layer.ssm, need_cache)
     gate = sigmoid(x @ layer.w_gate.T + layer.b_gate)
-    gated = gate * scan_y
-    y = gated @ layer.w_out.T + layer.b_out
+    y = (gate * scan_y) @ layer.w_out.T + layer.b_out
     if not need_cache:
         return y, None
-    cache = SsmLayerCache(x=x, u=u, xc=xc, gate=gate, scan_y=scan_y,
-                          gated=gated, scan_cache=scan_cache, layer=layer)
+    cache = SsmLayerCache(x=x, u=u, gate=gate, scan_y=scan_y,
+                          scan_cache=scan_cache, layer=layer)
     return y, cache
 
 
@@ -373,14 +358,14 @@ def ssm_layer_backward(cache, dy):
         raise ValueError("ssm_layer_backward: dy shape does not match forward input")
 
     dgated = dy @ layer.w_out
-    dw_out = np.einsum("btd,bte->de", dy, cache.gated)
+    dw_out = weight_grad(dy, cache.gate * cache.scan_y)
     db_out = dy.sum(axis=(0, 1))
 
     dgate = dgated * cache.scan_y
     dscan_y = dgated * cache.gate
     dgpre = dgate * cache.gate * (1.0 - cache.gate)
     dx = dgpre @ layer.w_gate
-    dw_gate = np.einsum("bte,btd->ed", dgpre, cache.x)
+    dw_gate = weight_grad(dgpre, cache.x)
     db_gate = dgpre.sum(axis=(0, 1))
 
     dxc, ssm_grads = scan_backward(cache.scan_cache, dscan_y)
@@ -394,7 +379,7 @@ def ssm_layer_backward(cache, dy):
         du = dxc
 
     dx += du @ layer.w_in
-    grads["w_in"] = np.einsum("bte,btd->ed", du, cache.x)
+    grads["w_in"] = weight_grad(du, cache.x)
     grads["b_in"] = du.sum(axis=(0, 1))
     grads["w_out"] = dw_out
     grads["b_out"] = db_out

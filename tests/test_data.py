@@ -10,6 +10,7 @@ from kickdir.data import (
     CENTER,
     DIRECTION_GIVEN_FOOT,
     FOOT_LEFT_RATE,
+    GK_ABSENT,
     LEFT,
     RIGHT,
     SIDE_LEFT_RATE,
@@ -142,6 +143,8 @@ def test_save_rejects_bad_samples(tmp_path):
         save_dataset(path, odd)
     with pytest.raises(DataError):
         save_dataset(path, [make_sample(0, 3)])
+    with pytest.raises(DataError):  # the no-keeper byte is not a direction
+        save_dataset(path, [make_sample(0, LEFT, gk=GK_ABSENT)])
 
 
 def test_kfold_exact_divisibility():

@@ -5,7 +5,9 @@ import pytest
 
 from kickdir.gradcheck import max_rel_error, numerical_grad
 from kickdir.ssm import (
+    ZOH_LIMIT,
     SsmParams,
+    _causal_conv,
     _compose_affine,
     _scan_forward,
     discretize_zoh,
@@ -71,6 +73,23 @@ def test_zoh_branch_continuity():
     lo = discretize_zoh(-1e-3 * (1 - 1e-10), 1.0, delta)[1]
     hi = discretize_zoh(-1e-3 * (1 + 1e-10), 1.0, delta)[1]
     assert abs(lo - hi) < 1e-9
+
+
+def test_scan_discretization_is_discretize_zoh():
+    # one channel below the ZOH limit switch and one above; inputs are powers
+    # of two so that dividing the first hidden state by x is exact
+    rng = np.random.default_rng(29)
+    params = init_ssm_params(2, 3, rng)
+    params.a_log[0] = np.log(1e-8)
+    x = np.array([[[1.0, -2.0], [0.5, 1.0]], [[-0.5, 2.0], [2.0, -1.0]]])
+    _, cache = _scan_forward(x, params)
+    a = -np.exp(params.a_log)
+    delta = cache.delta[..., None]
+    small = np.abs(delta * a) < ZOH_LIMIT
+    assert small.any() and not small.all()
+    a_bar, b_bar = discretize_zoh(a, cache.b[:, :, None, :], delta)
+    assert np.array_equal(cache.a_bar, a_bar)
+    assert np.array_equal(cache.hs[:, 0] / x[:, 0, :, None], b_bar[:, 0])
 
 
 def test_zoh_validates_inputs():
@@ -196,7 +215,8 @@ def test_scan_backward_limit_branch_gradient():
     x = rng.normal(size=(1, 4, 2))
     r = rng.normal(size=(1, 4, 2))
     _, cache = _scan_forward(x, params)
-    assert cache.small.any() and not cache.small.all()
+    small = np.abs(cache.delta[..., None] * -np.exp(params.a_log)) < ZOH_LIMIT
+    assert small.any() and not small.all()
     dx, grads = scan_backward(cache, r)
     assert max_rel_error(
         dx, numerical_grad(lambda v: scan_loss(v, params, r), x, eps=1e-4)) < 1e-5
@@ -209,12 +229,14 @@ def layer_loss(x, layer, r):
     return float(np.sum(y * r))
 
 
-@pytest.mark.parametrize("use_conv", [True, False])
-def test_layer_backward_matches_finite_differences(use_conv):
+# T=2 is shorter than the default conv_width of 4: the causal conv's edge
+@pytest.mark.parametrize("use_conv, t_len", [(True, 5), (False, 5), (True, 2)],
+                         ids=["True", "False", "True-T2"])
+def test_layer_backward_matches_finite_differences(use_conv, t_len):
     rng = np.random.default_rng(47)
     layer = init_ssm_layer(3, 2, rng, use_conv=use_conv)
-    x = rng.normal(size=(2, 5, 3))
-    r = rng.normal(size=(2, 5, 3))
+    x = rng.normal(size=(2, t_len, 3))
+    r = rng.normal(size=(2, t_len, 3))
     _, cache = ssm_layer_forward(x, layer)
     dx, grads = ssm_layer_backward(cache, r)
 
@@ -227,6 +249,19 @@ def test_layer_backward_matches_finite_differences(use_conv):
         num = numerical_grad(lambda _: layer_loss(x, layer, r), arr, eps=1e-4)
         err = max_rel_error(grads[name], num)
         assert err < 1e-5, f"{name}: rel err {err}"
+
+
+@pytest.mark.parametrize("t_len", [2, 4, 7])
+def test_causal_conv_matches_numpy_convolve(t_len):
+    rng = np.random.default_rng(61)
+    u = rng.normal(size=(2, t_len, 3))
+    conv_w = rng.normal(size=(3, 4))
+    conv_b = rng.normal(size=3)
+    out = _causal_conv(u, conv_w, conv_b)
+    for i in range(2):
+        for h in range(3):
+            ref = np.convolve(u[i, :, h], conv_w[h])[:t_len] + conv_b[h]
+            assert np.allclose(out[i, :, h], ref, rtol=0, atol=1e-12)
 
 
 def test_layer_is_causal():
