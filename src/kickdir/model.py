@@ -1,9 +1,17 @@
 """Full model: two temporal branch encoders, the metadata branch, and the
 fusion classifier, with flat name->array registries for optimization and
 serialization, plus branch masking for ablation studies.
+
+Parameters and the batch-norm buffers each live in one contiguous float64
+vector (a FlatBuffer); every named array of the dataclasses is a reshaped
+view into it. Gradients fill a FlatBuffer with the parameters' layout.
 """
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import accumulate
+from math import prod
 
 import numpy as np
 
@@ -37,9 +45,78 @@ def normalize_branches(branches):
     return got
 
 
+class FlatBuffer(Mapping):
+    """One contiguous float64 vector with a reshaped view per named tensor,
+    laid out back to back in the order of `table`, a tuple of (name, shape).
+
+    Iterating yields the names. The key WHOLE gives the vector itself, so a
+    one-entry mapping {WHOLE: vector} lines up with this buffer's moments.
+    """
+
+    WHOLE = "*"
+
+    def __init__(self, table, vector=None):
+        self.table = tuple((name, tuple(shape)) for name, shape in table)
+        self.offsets = list(accumulate((prod(s) for _, s in self.table),
+                                       initial=0))
+        self.vector = np.zeros(self.offsets[-1]) if vector is None else vector
+        self.views = {name: self.vector[lo:hi].reshape(shape)
+                      for (name, shape), lo, hi
+                      in zip(self.table, self.offsets, self.offsets[1:])}
+
+    def __getitem__(self, name):
+        return self.vector if name == self.WHOLE else self.views[name]
+
+    def __iter__(self):
+        return iter(self.views)
+
+    def __len__(self):
+        return len(self.views)
+
+    def __reduce__(self):
+        return FlatBuffer, (self.table, self.vector)
+
+    def like(self):
+        """A zero buffer with the same layout."""
+        return FlatBuffer(self.table)
+
+    def name_at(self, index):
+        """Name of the tensor that holds element `index` of the vector."""
+        return self.table[bisect_right(self.offsets, index) - 1][0]
+
+
+def _adopt(arrays):
+    """A FlatBuffer holding a copy of each (name, array) pair."""
+    arrays = list(arrays)
+    buf = FlatBuffer((name, arr.shape) for name, arr in arrays)
+    for name, arr in arrays:
+        buf.views[name][...] = arr
+    return buf
+
+
+def _rebind(obj, views):
+    """Replace each array field under the dataclass obj that `views` maps
+    (by the array's id) with its view."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            if id(value) in views:
+                setattr(obj, f.name, views[id(value)])
+        elif is_dataclass(value):
+            _rebind(value, views)
+        elif isinstance(value, list):
+            for item in value:
+                _rebind(item, views)
+
+
 @dataclass
 class ModelBundle:
-    """All learnable parameters plus the shape facts needed to rebuild."""
+    """All learnable parameters plus the shape facts needed to rebuild.
+
+    params and state are the flat buffers behind the named arrays: the
+    learnable tensors in named_params order and the batch-norm running
+    statistics.
+    """
 
     embedding_dim: int
     n_classes: int
@@ -47,6 +124,26 @@ class ModelBundle:
     kick_enc: object
     fusion: object
     head_branches: frozenset = ALL_BRANCHES
+    params: FlatBuffer = field(init=False, repr=False)
+    state: FlatBuffer = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = _adopt(_param_arrays(self))
+        self.state = _adopt(_state_arrays(self))
+        self._bind()
+
+    def __setstate__(self, state):
+        # Pickle copies each view on its own: point them back at the vectors.
+        self.__dict__.update(state)
+        self._bind()
+
+    def _bind(self):
+        views = {id(arr): buf.views[name]
+                 for buf, arrays in ((self.params, _param_arrays(self)),
+                                     (self.state, _state_arrays(self)))
+                 for name, arr in arrays}
+        for part in (self.run_enc, self.kick_enc, self.fusion):
+            _rebind(part, views)
 
     @property
     def branch_width(self):
@@ -81,17 +178,24 @@ def build_model(embedding_dim, n_classes, cfg, rng, head_branches=None):
                        head_branches=head)
 
 
+def _param_arrays(bundle):
+    yield from branch_param_arrays(bundle.run_enc, prefix="run_enc.")
+    yield from branch_param_arrays(bundle.kick_enc, prefix="kick_enc.")
+    yield from fusion_param_arrays(bundle.fusion, prefix="fusion.")
+
+
+def _state_arrays(bundle):
+    return fusion_state_arrays(bundle.fusion, prefix="fusion.")
+
+
 def named_params(bundle):
-    """Flat name -> array view of every learnable tensor."""
-    out = dict(branch_param_arrays(bundle.run_enc, prefix="run_enc."))
-    out.update(branch_param_arrays(bundle.kick_enc, prefix="kick_enc."))
-    out.update(fusion_param_arrays(bundle.fusion, prefix="fusion."))
-    return out
+    """Name -> view of every learnable tensor, in the flat layout's order."""
+    return dict(bundle.params.views)
 
 
 def named_state(bundle):
     """Non-learnable buffers (batch-norm running statistics)."""
-    return dict(fusion_state_arrays(bundle.fusion, prefix="fusion."))
+    return dict(bundle.state.views)
 
 
 def batch_inputs(samples):
@@ -156,28 +260,34 @@ def model_forward(bundle, run_x, kick_x, gamma, mode="train", rng=None,
     return logits, cache
 
 
-def model_backward(bundle, cache, dlogits):
-    """Gradients for every learnable tensor; masked branches get zeros."""
+def model_backward(bundle, cache, dlogits, grads=None):
+    """Fills grads, a FlatBuffer in the layout of bundle.params (a new one
+    by default), with the gradient of every learnable tensor and returns
+    it; masked branches get zeros."""
     dt_run, dt_kick, dt_meta, fusion_grads = fusion_backward(
         cache.fusion_cache, dlogits)
-    grads = {f"fusion.{k}": v for k, v in fusion_grads.items()}
+    parts = {f"fusion.{k}": v for k, v in fusion_grads.items()}
     if cache.meta_cache is not None:
         _, meta_grads = meta_branch_backward(cache.meta_cache, dt_meta,
                                              bundle.fusion)
         for k, v in meta_grads.items():
-            grads[f"fusion.{k}"] = v
+            parts[f"fusion.{k}"] = v
     if cache.run_cache is not None:
         _, run_grads = encode_branch_backward(cache.run_cache, dt_run)
         for k, v in run_grads.items():
-            grads[f"run_enc.{k}"] = v
+            parts[f"run_enc.{k}"] = v
     if cache.kick_cache is not None:
         _, kick_grads = encode_branch_backward(cache.kick_cache, dt_kick)
         for k, v in kick_grads.items():
-            grads[f"kick_enc.{k}"] = v
-    params = named_params(bundle)
-    for name, arr in params.items():
-        if name not in grads:
-            grads[name] = np.zeros_like(arr)
+            parts[f"kick_enc.{k}"] = v
+    if grads is None:
+        grads = bundle.params.like()
+    for name, view in grads.views.items():
+        part = parts.get(name)
+        if part is None:
+            view.fill(0.0)
+        else:
+            view[...] = part
     return grads
 
 

@@ -93,15 +93,16 @@ def discretize_zoh(a, b, delta):
         raise ValueError("discretize_zoh: evolution parameter must be negative")
     if np.any(delta < 0):
         raise ValueError("discretize_zoh: step size must be non-negative")
-    a_bar = np.exp(delta * a)
-    phi, _ = _zoh_phi(delta, a, a_bar)
+    z = delta * a
+    a_bar = np.exp(z)
+    phi, _ = _zoh_phi(delta, a, z, a_bar)
     return a_bar, phi * b
 
 
-def _zoh_phi(delta, a, a_bar):
+def _zoh_phi(delta, a, z, a_bar):
     """(phi, mask): phi = (a_bar - 1)/a, so that b_bar = phi * b, or its limit
-    delta where the mask |delta*a| < ZOH_LIMIT holds. a_bar = exp(delta*a)."""
-    small = np.abs(delta * a) < ZOH_LIMIT
+    delta where the mask |z| < ZOH_LIMIT holds. z = delta*a, a_bar = exp(z)."""
+    small = np.abs(z) < ZOH_LIMIT
     return np.where(small, delta, (a_bar - 1.0) / a), small
 
 
@@ -126,8 +127,9 @@ def _selective_parts(x, params):
     b = x @ params.w_b.T + params.b_b
     c = x @ params.w_c.T + params.b_c
     a = -np.exp(params.a_log)
-    a_bar = np.exp(delta[..., None] * a)
-    phi, _ = _zoh_phi(delta[..., None], a, a_bar)
+    z = delta[..., None] * a
+    a_bar = np.exp(z)
+    phi, _ = _zoh_phi(delta[..., None], a, z, a_bar)
     u = phi * b[:, :, None, :] * x[..., None]
     return pre, delta, b, c, a_bar, u
 
@@ -232,7 +234,7 @@ def scan_backward(cache, dy):
     da = np.einsum("bthn,bth->hn", g, delta[:, 1:])
 
     # through u = phi * b * x
-    phi, small = _zoh_phi(delta_e, a, a_bar)
+    phi, small = _zoh_phi(delta_e, a, delta_e * a, a_bar)
     d_bx = d_hs * phi
     dx += np.einsum("bthn,btn->bth", d_bx, b)
     db = np.einsum("bthn,bth->btn", d_bx, x)

@@ -16,14 +16,24 @@ from .data import compute_class_weights
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .fusion import LossConfig, loss_backward, weighted_smoothed_ce
 from .model import (
+    FlatBuffer,
     batch_inputs,
     build_model,
     model_backward,
     model_forward,
-    named_params,
-    named_state,
     predict_logits,
 )
+
+# Elements per AdamW block: the largest temporary an update makes is one
+# block of float64 (256 KB) in the optimizer's scratch rows.
+ADAMW_BLOCK = 2 ** 15
+
+
+def _sum_of_squares(g):
+    # einsum, not np.dot: BLAS splits a long dot product across its threads,
+    # so the last bits of the sum would depend on the thread count.
+    flat = g.reshape(-1)
+    return float(np.einsum("i,i->", flat, flat))
 
 
 def clip_gradients(grads, max_norm=1.0, step=None):
@@ -31,7 +41,7 @@ def clip_gradients(grads, max_norm=1.0, step=None):
     max_norm. Returns (grads, global_norm). Mutates in place."""
     total = 0.0
     for name, g in grads.items():
-        s = float(np.sum(g * g))
+        s = _sum_of_squares(g)
         if not np.isfinite(s):
             raise TrainingDivergedError(
                 f"non-finite gradient in {name}", step=step)
@@ -46,45 +56,72 @@ def clip_gradients(grads, max_norm=1.0, step=None):
 
 @dataclass
 class OptimizerState:
+    """Adam moments by parameter name. For a FlatBuffer of parameters, m and
+    v are FlatBuffers with its layout. scratch holds the two block-sized
+    rows adamw_step works in; it is not saved."""
+
     m: dict
     v: dict
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "scratch": None}
 
 
 def init_optimizer(params, beta1=0.9, beta2=0.999, eps=1e-8):
-    return OptimizerState(
-        m={k: np.zeros_like(a) for k, a in params.items()},
-        v={k: np.zeros_like(a) for k, a in params.items()},
-        t=0, beta1=beta1, beta2=beta2, eps=eps)
+    if isinstance(params, FlatBuffer):
+        m, v = params.like(), params.like()
+    else:
+        m = {k: np.zeros_like(a) for k, a in params.items()}
+        v = {k: np.zeros_like(a) for k, a in params.items()}
+    return OptimizerState(m=m, v=v, t=0, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adamw_step(params, grads, state, lr_t, wd=5e-2):
     """One decoupled-weight-decay Adam update, in place.
 
     theta <- theta - lr_t * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
+
+    Each C-contiguous tensor is updated in blocks of ADAMW_BLOCK elements,
+    with the same arithmetic per element as the formula above.
     """
     if set(params) != set(grads):
         raise ValueError("parameter and gradient registries disagree")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = state.beta1, state.beta2, state.eps
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
+    if state.scratch is None:
+        state.scratch = np.empty((2, ADAMW_BLOCK))
     for name, theta in params.items():
         g = grads[name]
         if g.shape != theta.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        theta -= lr_t * (m_hat / (np.sqrt(v_hat) + state.eps) + wd * theta)
+        m, v = state.m[name], state.v[name]
+        if not all(a.flags.c_contiguous for a in (theta, m, v)):
+            raise ValueError(f"{name} or its moments are not C-contiguous")
+        theta, g, m, v = (a.reshape(-1) for a in (theta, g, m, v))
+        for lo in range(0, theta.size, ADAMW_BLOCK):
+            hi = lo + ADAMW_BLOCK
+            th, gb, mb, vb = theta[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            s, u = state.scratch[:, :th.size]
+            mb *= b1
+            mb += np.multiply(gb, 1.0 - b1, out=s)
+            vb *= b2
+            np.multiply(gb, 1.0 - b2, out=s)
+            vb += np.multiply(s, gb, out=s)
+            np.divide(vb, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += eps
+            np.divide(mb, bc1, out=u)
+            u /= s
+            u += np.multiply(th, wd, out=s)
+            u *= lr_t
+            th -= u
     return params, state
 
 
@@ -161,9 +198,13 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
                          head_branches=head_branches)
     if branches is None:
         branches = bundle.head_branches
-    params = named_params(bundle)
-    state = named_state(bundle)
-    opt = init_optimizer(params, beta1=cfg.beta1, beta2=cfg.beta2,
+    # One gradient buffer for the whole fold, freed when it returns. The
+    # per-step clip and update see one tensor each: the flat vectors.
+    grads = bundle.params.like()
+    whole = FlatBuffer.WHOLE
+    flat_params = {whole: bundle.params.vector}
+    flat_grads = {whole: grads.vector}
+    opt = init_optimizer(bundle.params, beta1=cfg.beta1, beta2=cfg.beta2,
                          eps=cfg.adam_eps)
     labels = [s.label for s in train_samples]
     weights = compute_class_weights(labels, cfg.n_classes)
@@ -205,12 +246,18 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
             if not np.isfinite(loss):
                 raise TrainingDivergedError("non-finite training loss",
                                             step=global_step)
-            grads = model_backward(bundle, cache,
-                                   loss_backward(logits, y, loss_cfg))
-            _, norm = clip_gradients(grads, cfg.clip_norm, step=global_step)
+            model_backward(bundle, cache, loss_backward(logits, y, loss_cfg),
+                           grads)
+            try:
+                _, norm = clip_gradients(flat_grads, cfg.clip_norm,
+                                         step=global_step)
+            except TrainingDivergedError:
+                raise TrainingDivergedError(
+                    f"non-finite gradient in {_nonfinite_name(grads)}",
+                    step=global_step) from None
             lr_t = cosine_warmup_lr(global_step, warmup_steps, total_steps,
                                     cfg.lr)
-            adamw_step(params, grads, opt, lr_t, wd=cfg.weight_decay)
+            adamw_step(flat_params, flat_grads, opt, lr_t, wd=cfg.weight_decay)
             history.step_lr.append(lr_t)
             history.step_grad_norm.append(norm)
             history.step_grad_norm_clipped.append(min(norm, cfg.clip_norm))
@@ -227,7 +274,8 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
         if val_acc > history.best_val_acc:
             history.best_val_acc = val_acc
             history.best_epoch = epoch
-            snapshot = {k: a.copy() for k, a in {**params, **state}.items()}
+            snapshot = (bundle.params.vector.copy(),
+                        bundle.state.vector.copy())
             since_improvement = 0
         else:
             since_improvement += 1
@@ -235,10 +283,18 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
         if since_improvement >= cfg.patience:
             break
 
-    merged = {**params, **state}
-    for name, arr in snapshot.items():
-        np.copyto(merged[name], arr)
+    np.copyto(bundle.params.vector, snapshot[0])
+    np.copyto(bundle.state.vector, snapshot[1])
     return bundle, opt, history
+
+
+def _nonfinite_name(grads):
+    """Name of the tensor holding the first non-finite element of the
+    FlatBuffer grads or, when every element is finite and only the sum of
+    squares overflowed, the largest one."""
+    vec = grads.vector
+    return grads.name_at(
+        int(np.argmax(np.where(np.isfinite(vec), np.abs(vec), np.inf))))
 
 
 @contextmanager
@@ -260,10 +316,9 @@ def atomic_write(path):
 
 
 def save_checkpoint(path, bundle, opt, history, cfg):
-    """Lossless checkpoint: parameters, buffers, optimizer moments, history,
-    and the config text needed to rebuild the bundle."""
-    params = named_params(bundle)
-    state = named_state(bundle)
+    """Lossless checkpoint: the flat parameter, buffer and moment vectors,
+    their name/shape tables, history, and the config text needed to rebuild
+    the bundle."""
     meta = {
         "embedding_dim": bundle.embedding_dim,
         "n_classes": bundle.n_classes,
@@ -276,16 +331,11 @@ def save_checkpoint(path, bundle, opt, history, cfg):
         "best_val_acc": history.best_val_acc,
         "stopped_epoch": history.stopped_epoch,
         "config_text": cfg.to_text(),
+        "layout": {"param": bundle.params.table, "state": bundle.state.table},
     }
-    arrays = {"meta_json": np.array(json.dumps(meta))}
-    for k, a in params.items():
-        arrays[f"param.{k}"] = a
-    for k, a in state.items():
-        arrays[f"state.{k}"] = a
-    for k, a in opt.m.items():
-        arrays[f"opt_m.{k}"] = a
-    for k, a in opt.v.items():
-        arrays[f"opt_v.{k}"] = a
+    arrays = {"meta_json": np.array(json.dumps(meta)),
+              "param": bundle.params.vector, "state": bundle.state.vector,
+              "opt_m": opt.m.vector, "opt_v": opt.v.vector}
     for name in ("epoch", "train_loss", "val_loss", "val_acc", "lr",
                  "step_lr", "step_grad_norm", "step_grad_norm_clipped"):
         arrays[f"hist.{name}"] = np.asarray(getattr(history, name))
@@ -312,15 +362,15 @@ def _read_checkpoint(path):
         rng = np.random.default_rng(0)  # placeholder values, overwritten below
         bundle = build_model(meta["embedding_dim"], meta["n_classes"], cfg, rng,
                              head_branches=frozenset(meta["head_branches"]))
-        params = named_params(bundle)
-        state = named_state(bundle)
-        for k, arr in params.items():
-            np.copyto(arr, data[f"param.{k}"])
-        for k, arr in state.items():
-            np.copyto(arr, data[f"state.{k}"])
+        for key, buf in (("param", bundle.params), ("state", bundle.state)):
+            if meta["layout"][key] != json.loads(json.dumps(buf.table)):
+                raise ValueError(f"its {key} table does not match the model "
+                                 "its config builds")
+            np.copyto(buf.vector, _stored_vector(data, key, buf))
+        table = bundle.params.table
         opt = OptimizerState(
-            m={k: data[f"opt_m.{k}"].copy() for k in params},
-            v={k: data[f"opt_v.{k}"].copy() for k in params},
+            m=FlatBuffer(table, _stored_vector(data, "opt_m", bundle.params)),
+            v=FlatBuffer(table, _stored_vector(data, "opt_v", bundle.params)),
             t=meta["opt_t"], beta1=meta["beta1"], beta2=meta["beta2"],
             eps=meta["eps"])
         # .tolist() hands back native Python scalars, so a reloaded
@@ -338,3 +388,12 @@ def _read_checkpoint(path):
             best_val_acc=meta["best_val_acc"],
             stopped_epoch=meta["stopped_epoch"])
     return bundle, opt, history, cfg
+
+
+def _stored_vector(data, key, buf):
+    """Archive array `key`, checked to fit the layout of the FlatBuffer buf."""
+    arr = data[key]
+    if arr.dtype != np.float64 or arr.shape != buf.vector.shape:
+        raise ValueError(f"{key!r} holds {arr.size} {arr.dtype} values, the "
+                         f"model has {buf.vector.size} float64")
+    return arr

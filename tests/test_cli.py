@@ -3,9 +3,11 @@
 import dataclasses
 import errno
 import hashlib
+import json
 import os
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import kickdir.train
@@ -242,6 +244,39 @@ def test_missing_checkpoint_exits_three(tmp_path):
                  "--checkpoint", str(tmp_path / "nope.ckpt")]) == EXIT_DATA
 
 
+def _patched_checkpoint(src, dst, **changes):
+    with np.load(src) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays.update(changes)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("patch", ["table", "length"])
+def test_evaluate_rejects_checkpoint_layout_mismatch(ckpt_run, tmp_path,
+                                                     capsys, patch):
+    data, ckpt = ckpt_run
+    bad = tmp_path / "bad.ckpt"
+    with np.load(ckpt) as archive:
+        meta = json.loads(str(archive["meta_json"]))
+        param = archive["param"]
+    if patch == "table":
+        # Same total size, but the first two tensors in the other order.
+        table = meta["layout"]["param"]
+        table[0], table[1] = table[1], table[0]
+        _patched_checkpoint(ckpt, bad, meta_json=np.array(json.dumps(meta)))
+        expect = "param table does not match"
+    else:
+        _patched_checkpoint(ckpt, bad, param=param[:-1])
+        expect = f"'param' holds {param.size - 1} float64 values"
+    rc = main(["evaluate", "--data", str(data), "--checkpoint", str(bad)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot read checkpoint")
+    assert expect in err
+    assert err.count("\n") == 1
+
+
 def test_evaluate_rejects_embedding_dim_mismatch(ckpt_run, tmp_path, capsys):
     _, ckpt = ckpt_run
     data = make_dataset(tmp_path, dim=12)
@@ -386,6 +421,20 @@ def test_crossval_jobs_match_serial(tmp_path):
             == EXIT_OK
     assert sha256(tmp_path / "serial" / "metrics.kv") \
         == sha256(tmp_path / "parallel" / "metrics.kv")
+    # Bundles come back from the workers pickled; their checkpoints hold
+    # the same arrays as the serial run's.
+    for fold in range(3):
+        name = f"folds/fold_{fold:02d}.npz"
+        serial = load_checkpoint(tmp_path / "serial" / name)
+        parallel = load_checkpoint(tmp_path / "parallel" / name)
+        for kind in ("params", "state"):
+            assert np.array_equal(getattr(serial[0], kind).vector,
+                                  getattr(parallel[0], kind).vector)
+        for kind in ("m", "v"):
+            assert np.array_equal(getattr(serial[1], kind).vector,
+                                  getattr(parallel[1], kind).vector)
+        assert serial[2].to_text() == parallel[2].to_text()
+        assert serial[2].step_grad_norm == parallel[2].step_grad_norm
 
 
 def test_worker_count_is_clamped():

@@ -316,3 +316,70 @@ def test_predict_logits_rejects_non_finite_sample():
     samples[2].kick_seq[1, 0] = np.inf
     with pytest.raises(DataError, match=samples[2].id):
         predict_logits(bundle, samples)
+
+
+# ------------------------------------------------------------ flat layout
+
+
+def test_flat_layout_views_tile_one_vector():
+    bundle = build_model(16, 3, TrainConfig(), np.random.default_rng(28))
+    for buf, named in ((bundle.params, named_params(bundle)),
+                       (bundle.state, named_state(bundle))):
+        assert buf.vector.dtype == np.float64 and buf.vector.ndim == 1
+        offset = 0
+        for name, view in named.items():
+            assert view.flags.c_contiguous, name
+            assert np.shares_memory(view, buf.vector), name
+            assert view.ctypes.data == buf.vector.ctypes.data + 8 * offset, \
+                name
+            offset += view.size
+        assert offset == buf.vector.size
+    assert bundle.params.vector.size == 25_395
+    assert len(named_params(bundle)) == 86
+    # The dataclass fields are the views themselves.
+    assert named_params(bundle)["fusion.w_out"] is bundle.fusion.w_out
+    assert named_state(bundle)["fusion.bn_running_var"] \
+        is bundle.fusion.bn_running_var
+    bundle.params.vector[:] = 0.5
+    assert np.all(bundle.run_enc.layers[1].block.ssm.a_log == 0.5)
+
+
+def test_name_at_maps_offsets_to_tensors():
+    bundle = build_model(4, 3, small_config(), np.random.default_rng(29))
+    buf = bundle.params
+    for (name, _), lo, hi in zip(buf.table, buf.offsets, buf.offsets[1:]):
+        assert buf.name_at(lo) == name and buf.name_at(hi - 1) == name
+
+
+def test_pickled_bundle_keeps_views():
+    import pickle
+    bundle = build_model(6, 3, small_config(), np.random.default_rng(30))
+    copy = pickle.loads(pickle.dumps(bundle))
+    for buf, named in ((copy.params, named_params(copy)),
+                       (copy.state, named_state(copy))):
+        assert all(np.shares_memory(v, buf.vector) for v in named.values())
+    assert named_params(copy)["run_enc.proj_w"] is copy.run_enc.w_proj
+    assert np.array_equal(copy.params.vector, bundle.params.vector)
+    assert np.array_equal(copy.state.vector, bundle.state.vector)
+    copy.fusion.b_out[0] = 7.0
+    assert copy.params["fusion.b_out"][0] == 7.0
+    assert bundle.fusion.b_out[0] != 7.0
+
+
+def test_masked_backward_clears_stale_gradients():
+    rng = np.random.default_rng(31)
+    bundle = build_model(4, 3, small_config(), np.random.default_rng(32))
+    run_x, kick_x, gamma, labels = make_batch(rng)
+    cfg = unit_loss_config(3)
+    buf = bundle.params.like()
+    for branches, expect_kick in ((ALL_BRANCHES, True), ({"run"}, False)):
+        logits, cache = model_forward(bundle, run_x, kick_x, gamma,
+                                      mode="train",
+                                      rng=np.random.default_rng(0),
+                                      branches=branches)
+        grads = model_backward(bundle, cache,
+                               loss_backward(logits, labels, cfg), buf)
+        assert grads is buf and list(grads) == list(named_params(bundle))
+        kick = [g for n, g in grads.items() if n.startswith("kick_enc.")]
+        assert any(g.any() for g in kick) == expect_kick
+    assert not grads["fusion.w_meta"].any()

@@ -6,9 +6,18 @@ import pytest
 from kickdir.config import TrainConfig
 from kickdir.data import generate_synthetic
 from kickdir.errors import DataError, TrainingDivergedError
-from kickdir.fusion import LossConfig
-from kickdir.model import named_params, named_state, predict_logits
+from kickdir.fusion import LossConfig, loss_backward
+from kickdir.model import (
+    FlatBuffer,
+    build_model,
+    model_backward,
+    model_forward,
+    named_params,
+    named_state,
+    predict_logits,
+)
 from kickdir.train import (
+    ADAMW_BLOCK,
     OptimizerState,
     TrainHistory,
     _evaluate_loss_acc,
@@ -78,6 +87,23 @@ def test_clip_nonfinite_raises_with_step():
     assert "step 7" in str(info.value)
 
 
+def test_one_sum_clip_norm_matches_per_tensor_sum():
+    bundle = build_model(16, 3, TrainConfig(), np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    run_x = rng.normal(size=(5, 5, 16))
+    kick_x = rng.normal(size=(5, 3, 16))
+    gamma = rng.integers(0, 2, size=(5, 2)).astype(np.float64)
+    labels = np.array([0, 1, 2, 1, 0])
+    logits, cache = model_forward(bundle, run_x, kick_x, gamma, mode="train",
+                                  rng=rng)
+    loss_cfg = LossConfig(class_weights=np.ones(3))
+    grads = model_backward(bundle, cache, loss_backward(logits, labels,
+                                                        loss_cfg))
+    per_tensor = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    _, norm = clip_gradients({FlatBuffer.WHOLE: grads.vector}, max_norm=1e9)
+    assert abs(norm - per_tensor) <= 1e-14 * per_tensor
+
+
 # ----------------------------------------------------------------- AdamW
 
 
@@ -122,6 +148,85 @@ def test_adamw_registry_mismatch_rejected():
     opt = init_optimizer(params)
     with pytest.raises(ValueError):
         adamw_step(params, {"b": np.zeros(2)}, opt, lr_t=0.1)
+
+
+def reference_adamw(params, grads, m, v, t, lr_t, wd, b1=0.9, b2=0.999,
+                    eps=1e-8):
+    """The per-tensor AdamW update as written before the flat buffers."""
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for name, theta in params.items():
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
+        theta -= lr_t * (m_hat / (np.sqrt(v_hat) + eps) + wd * theta)
+
+
+def test_flat_blocked_adamw_matches_per_tensor_reference():
+    table = [("a", (3, 5)), ("big", (2 * ADAMW_BLOCK + 123,)), ("c", (7,))]
+    rng = np.random.default_rng(1)
+    params = FlatBuffer(table, rng.normal(size=2 * ADAMW_BLOCK + 145))
+    grads = params.like()
+    opt = init_optimizer(params)
+    ref = {k: a.copy() for k, a in params.items()}
+    ref_m = {k: np.zeros_like(a) for k, a in ref.items()}
+    ref_v = {k: np.zeros_like(a) for k, a in ref.items()}
+    whole = FlatBuffer.WHOLE
+    for step, (lr, wd) in enumerate([(1e-3, 5e-2), (3e-3, 0.0), (1e-2, 1e-2),
+                                     (2e-4, 5e-2), (0.0, 5e-2)], start=1):
+        grads.vector[:] = rng.normal(size=grads.vector.size) \
+            * rng.choice([1e-9, 1.0, 1e3], size=grads.vector.size)
+        adamw_step({whole: params.vector}, {whole: grads.vector}, opt,
+                   lr_t=lr, wd=wd)
+        reference_adamw(ref, dict(grads), ref_m, ref_v, step, lr, wd)
+        assert opt.t == step
+        for k in ref:
+            assert np.array_equal(params[k], ref[k]), (step, k)
+            assert np.array_equal(opt.m[k], ref_m[k]), (step, k)
+            assert np.array_equal(opt.v[k], ref_v[k]), (step, k)
+
+
+def test_per_tensor_adamw_matches_reference():
+    rng = np.random.default_rng(2)
+    params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
+    ref = {k: a.copy() for k, a in params.items()}
+    ref_m = {k: np.zeros_like(a) for k, a in ref.items()}
+    ref_v = {k: np.zeros_like(a) for k, a in ref.items()}
+    opt = init_optimizer(params)
+    for step in range(1, 4):
+        grads = {k: rng.normal(size=a.shape) for k, a in params.items()}
+        adamw_step(params, grads, opt, lr_t=1e-2, wd=5e-2)
+        reference_adamw(ref, grads, ref_m, ref_v, step, 1e-2, 5e-2)
+    assert all(np.array_equal(params[k], ref[k]) for k in params)
+
+
+def test_adamw_rejects_non_contiguous_parameter():
+    params = {"w": np.zeros((4, 4))[:, ::2]}
+    opt = init_optimizer(params)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adamw_step(params, {"w": np.ones((4, 2))}, opt, lr_t=0.1)
+
+
+def test_pickled_optimizer_keeps_views():
+    import pickle
+    bundle = build_model(6, 3, tiny_config(), np.random.default_rng(3))
+    opt = init_optimizer(bundle.params)
+    whole = FlatBuffer.WHOLE
+    grads = bundle.params.like()
+    grads.vector[:] = 0.25
+    adamw_step({whole: bundle.params.vector}, {whole: grads.vector}, opt,
+               lr_t=1e-3)
+    assert opt.scratch is not None
+    copy = pickle.loads(pickle.dumps(opt))
+    assert copy.scratch is None and copy.t == 1
+    for k in copy.m:
+        assert np.shares_memory(copy.m[k], copy.m.vector)
+        assert np.shares_memory(copy.v[k], copy.v.vector)
+    assert np.array_equal(copy.m.vector, opt.m.vector)
 
 
 # -------------------------------------------------------------- schedule
@@ -271,6 +376,26 @@ def test_divergence_raises_with_step():
     assert info.value.step is not None
 
 
+def test_divergence_names_the_tensor(monkeypatch):
+    import kickdir.train as train_mod
+    real = train_mod.model_backward
+    calls = []
+
+    def planted(*args):
+        grads = real(*args)
+        calls.append(None)
+        if len(calls) == 4:
+            grads["fusion.w_out"][1, 2] = np.nan
+        return grads
+
+    monkeypatch.setattr(train_mod, "model_backward", planted)
+    train, val = data_split(25, 5)
+    with pytest.raises(TrainingDivergedError) as info:
+        train_fold(train, val, tiny_config())
+    assert info.value.step == 3
+    assert str(info.value) == "non-finite gradient in fusion.w_out (step 3)"
+
+
 def test_checkpoint_round_trip(tmp_path):
     train, val = data_split(25, 5)
     cfg = tiny_config(max_epochs=2, augment=True)
@@ -287,6 +412,9 @@ def test_checkpoint_round_trip(tmp_path):
     assert opt2.t == opt.t and opt2.beta1 == cfg.beta1
     assert all(np.array_equal(opt.m[k], opt2.m[k]) for k in opt.m)
     assert all(np.array_equal(opt.v[k], opt2.v[k]) for k in opt.v)
+    assert list(opt2.m) == list(named_params(bundle2))
+    assert all(np.shares_memory(opt2.m[k], opt2.m.vector)
+               and np.shares_memory(opt2.v[k], opt2.v.vector) for k in opt2.m)
     assert hist2.epoch == hist.epoch
     assert hist2.val_acc == hist.val_acc
     assert hist2.step_lr == hist.step_lr
