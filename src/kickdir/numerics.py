@@ -8,13 +8,12 @@ import numpy as np
 
 
 def sigmoid(x):
+    # 1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below, both from e^-|x|;
+    # min(x, -x) rather than -abs(x) keeps the sign of a NaN input
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def softplus(x):

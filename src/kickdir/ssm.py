@@ -93,17 +93,22 @@ def discretize_zoh(a, b, delta):
         raise ValueError("discretize_zoh: evolution parameter must be negative")
     if np.any(delta < 0):
         raise ValueError("discretize_zoh: step size must be non-negative")
-    z = delta * a
-    a_bar = np.exp(z)
-    phi, _ = _zoh_phi(delta, a, z, a_bar)
+    phi = np.asarray(delta * a)  # z, until _zoh_phi turns it into phi
+    a_bar = np.exp(phi)
+    _zoh_phi(phi, delta, a, a_bar)
     return a_bar, phi * b
 
 
-def _zoh_phi(delta, a, z, a_bar):
-    """(phi, mask): phi = (a_bar - 1)/a, so that b_bar = phi * b, or its limit
-    delta where the mask |z| < ZOH_LIMIT holds. z = delta*a, a_bar = exp(z)."""
-    small = np.abs(z) < ZOH_LIMIT
-    return np.where(small, delta, (a_bar - 1.0) / a), small
+def _zoh_phi(buf, delta, a, a_bar):
+    """Turn buf from z = delta*a into phi = (a_bar - 1)/a in place, so that
+    b_bar = phi * b, with a_bar = exp(z). Where the returned mask
+    z > -ZOH_LIMIT holds, phi is its limit delta instead; since delta >= 0
+    and a < 0 make z <= 0, that is the same test as |z| < ZOH_LIMIT."""
+    small = buf > -ZOH_LIMIT
+    np.subtract(a_bar, 1.0, out=buf)
+    buf /= a
+    np.copyto(buf, delta, where=small)
+    return small
 
 
 @dataclass
@@ -127,10 +132,12 @@ def _selective_parts(x, params):
     b = x @ params.w_b.T + params.b_b
     c = x @ params.w_c.T + params.b_c
     a = -np.exp(params.a_log)
-    z = delta[..., None] * a
-    a_bar = np.exp(z)
-    phi, _ = _zoh_phi(delta[..., None], a, z, a_bar)
-    u = phi * b[:, :, None, :] * x[..., None]
+    # the only two (B, T, H, N) arrays: a_bar, and u built in place from z
+    u = np.multiply(delta[..., None], a)
+    a_bar = np.exp(u)
+    _zoh_phi(u, delta[..., None], a, a_bar)
+    u *= b[:, :, None, :]
+    u *= x[..., None]
     return pre, delta, b, c, a_bar, u
 
 
@@ -219,9 +226,10 @@ def scan_backward(cache, dy):
     dc = np.einsum("bth,bthn->btn", dy, hs)
 
     # d_hs starts as the readout path; g[:, t-1] = a_bar_t * ds_t is what
-    # step t hands back to step t-1
+    # step t hands back to step t-1. g lives in work, the one scratch buffer
     d_hs = dy[..., None] * cache.c[:, :, None, :]
-    g = np.empty_like(hs[:, 1:])
+    work = np.empty_like(hs)
+    g = work[:, 1:]
     for t in range(t_len - 1, 0, -1):
         np.multiply(a_bar[:, t], d_hs[:, t], out=g[:, t - 1])
         d_hs[:, t - 1] += g[:, t - 1]
@@ -233,18 +241,23 @@ def scan_backward(cache, dy):
     ddelta[:, 1:] = np.einsum("bthn,hn->bth", g, a)
     da = np.einsum("bthn,bth->hn", g, delta[:, 1:])
 
-    # through u = phi * b * x
-    phi, small = _zoh_phi(delta_e, a, delta_e * a, a_bar)
-    d_bx = d_hs * phi
-    dx += np.einsum("bthn,btn->bth", d_bx, b)
-    db = np.einsum("bthn,bth->btn", d_bx, x)
+    # through u = phi * b * x; g is spent, work holds one product at a time
+    phi = np.multiply(delta_e, a)
+    small = _zoh_phi(phi, delta_e, a, a_bar)
+    np.multiply(d_hs, phi, out=work)  # d_bx
+    dx += np.einsum("bthn,btn->bth", work, b)
+    db = np.einsum("bthn,bth->btn", work, x)
     dphi = np.multiply(d_hs, x[..., None], out=d_hs)  # d_hs is spent
     dphi *= b[:, :, None, :]
     # phi branches: limit is delta (d/ddelta = 1, d/da = 0); exact branch is
     # (a_bar - 1)/a (d/ddelta = a_bar, d/da = (delta*a_bar - phi)/a)
-    ddelta += np.einsum("bthn,bthn->bth", dphi, np.where(small, 1.0, a_bar))
-    da += np.einsum("bthn,bthn->hn", dphi,
-                    np.where(small, 0.0, delta_e * a_bar - phi)) / a
+    np.copyto(work, a_bar)
+    np.copyto(work, 1.0, where=small)
+    ddelta += np.einsum("bthn,bthn->bth", dphi, work)
+    np.multiply(delta_e, a_bar, out=work)
+    work -= phi
+    np.copyto(work, 0.0, where=small)
+    da += np.einsum("bthn,bthn->hn", dphi, work) / a
     da_log = da * a  # a = -exp(a_log)
 
     dpre = ddelta * sigmoid(cache.pre)

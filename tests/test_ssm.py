@@ -1,9 +1,12 @@
 """Tests for the selective state-space core and the gated block."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kickdir.gradcheck import max_rel_error, numerical_grad
+from kickdir.numerics import sigmoid, softplus, weight_grad
 from kickdir.ssm import (
     ZOH_LIMIT,
     SsmParams,
@@ -224,6 +227,142 @@ def test_scan_backward_limit_branch_gradient():
     assert max_rel_error(grads["b_delta"], num) < 1e-5
 
 
+def reference_selective_parts(x, params):
+    """The forward precomputation as written before the in-place scan, with
+    a fresh array for every (B, T, H, N) step and np.where for phi."""
+    pre = x @ params.w_delta.T + params.b_delta
+    delta = softplus(pre)
+    b = x @ params.w_b.T + params.b_b
+    c = x @ params.w_c.T + params.b_c
+    a = -np.exp(params.a_log)
+    z = delta[..., None] * a
+    a_bar = np.exp(z)
+    phi = np.where(np.abs(z) < ZOH_LIMIT, delta[..., None], (a_bar - 1.0) / a)
+    u = phi * b[:, :, None, :] * x[..., None]
+    return pre, delta, b, c, a_bar, u
+
+
+def reference_scan(x, params):
+    pre, delta, b, c, a_bar, hs = reference_selective_parts(x, params)
+    for t in range(1, x.shape[1]):
+        hs[:, t] += a_bar[:, t] * hs[:, t - 1]
+    y = np.einsum("bthn,btn->bth", hs, c) + params.skip_d * x
+    return y, (pre, delta, b, c, a_bar, hs)
+
+
+def reference_scan_backward(x, params, parts, dy):
+    """scan_backward as written before the in-place scan."""
+    pre, delta, b, c, a_bar, hs = parts
+    a = -np.exp(params.a_log)
+    delta_e = delta[..., None]
+    d_skip = np.einsum("bth,bth->h", dy, x)
+    dx = dy * params.skip_d
+    dc = np.einsum("bth,bthn->btn", dy, hs)
+    d_hs = dy[..., None] * c[:, :, None, :]
+    g = np.empty_like(hs[:, 1:])
+    for t in range(x.shape[1] - 1, 0, -1):
+        np.multiply(a_bar[:, t], d_hs[:, t], out=g[:, t - 1])
+        d_hs[:, t - 1] += g[:, t - 1]
+    g *= hs[:, :-1]
+    ddelta = np.zeros_like(delta)
+    ddelta[:, 1:] = np.einsum("bthn,hn->bth", g, a)
+    da = np.einsum("bthn,bth->hn", g, delta[:, 1:])
+    z = delta_e * a
+    small = np.abs(z) < ZOH_LIMIT
+    phi = np.where(small, delta_e, (a_bar - 1.0) / a)
+    d_bx = d_hs * phi
+    dx += np.einsum("bthn,btn->bth", d_bx, b)
+    db = np.einsum("bthn,bth->btn", d_bx, x)
+    dphi = d_hs * x[..., None] * b[:, :, None, :]
+    ddelta += np.einsum("bthn,bthn->bth", dphi, np.where(small, 1.0, a_bar))
+    da += np.einsum("bthn,bthn->hn", dphi,
+                    np.where(small, 0.0, delta_e * a_bar - phi)) / a
+    dpre = ddelta * sigmoid(pre)
+    dx += dpre @ params.w_delta
+    dx += db @ params.w_b
+    dx += dc @ params.w_c
+    grads = {"a_log": da * a, "skip_d": d_skip,
+             "w_delta": weight_grad(dpre, x), "b_delta": dpre.sum(axis=(0, 1)),
+             "w_b": weight_grad(db, x), "b_b": db.sum(axis=(0, 1)),
+             "w_c": weight_grad(dc, x), "b_c": dc.sum(axis=(0, 1))}
+    return dx, grads
+
+
+def test_lean_scan_matches_parent_formulas():
+    # the in-place scan must give the same bits as the fresh-array formulas,
+    # on both sides of the ZOH switch and for one, odd and longer sequences
+    rng = np.random.default_rng(67)
+    params = init_ssm_params(3, 4, rng)
+    params.a_log[0] = np.log(1e-8)  # |delta*a| ~ 1e-9, below the switch
+    for t_len in (1, 3, 5):
+        x = rng.normal(size=(2, t_len, 3))
+        dy = rng.normal(size=(2, t_len, 3))
+        y_ref, parts = reference_scan(x, params)
+        small = np.abs(parts[1][..., None] * -np.exp(params.a_log)) < ZOH_LIMIT
+        assert small.any() and not small.all()
+        y, cache = _scan_forward(x, params)
+        assert np.array_equal(y, y_ref), t_len
+        assert np.array_equal(cache.a_bar, parts[4]), t_len
+        assert np.array_equal(cache.hs, parts[5]), t_len
+        dx_ref, grads_ref = reference_scan_backward(x, params, parts, dy)
+        dx, grads = scan_backward(cache, dy)
+        assert np.array_equal(dx, dx_ref), t_len
+        assert grads.keys() == grads_ref.keys()
+        for name, ref in grads_ref.items():
+            assert np.array_equal(grads[name], ref), (t_len, name)
+        assert np.array_equal(scan_recurrent(x, params), y_ref), t_len
+
+
+def test_zoh_switch_edges_match_parent_formula():
+    # z = delta*a at -ZOH_LIMIT and one ulp either side: the mask z > -limit
+    # takes the same branch as |z| < limit did
+    def reference(a, b, delta):
+        z = delta * a
+        a_bar = np.exp(z)
+        return a_bar, np.where(np.abs(z) < ZOH_LIMIT, delta, (a_bar - 1.0) / a) * b
+
+    below = np.nextafter(ZOH_LIMIT, 0.0)
+    above = np.nextafter(ZOH_LIMIT, 1.0)
+    for delta, limit_branch in ((below, True), (ZOH_LIMIT, False),
+                                (above, False), (0.0, True)):
+        a_bar, b_bar = discretize_zoh(-1.0, 3.0, delta)
+        ref_a_bar, ref_b_bar = reference(-1.0, 3.0, delta)
+        assert a_bar == ref_a_bar and b_bar == ref_b_bar, delta
+        assert (b_bar == delta * 3.0) == limit_branch, delta
+    delta = np.array([[below], [ZOH_LIMIT], [above], [0.0]])
+    a = np.array([-1.0, -2.0, -1e-8])
+    b = np.array([2.0, -1.0, 0.5])
+    for got, ref in zip(discretize_zoh(a, b, delta), reference(a, b, delta)):
+        assert np.array_equal(got, ref)
+
+
+def test_scan_allocations_stay_in_place():
+    # at the archive-scoring training shape the forward keeps two (B, T, H, N)
+    # arrays alive (a_bar and the scanned hs); the backward adds d_hs, phi
+    # and one work buffer. Units: one (B, T, 2D, 16) float64 array
+    batch, t_len, d_model, state = 100, 5, 16, 16
+    unit = batch * t_len * 2 * d_model * state * 8
+    rng = np.random.default_rng(71)
+    layer = init_ssm_layer(d_model, state, rng)
+    x = rng.normal(size=(batch, t_len, d_model))
+    dy = rng.normal(size=(batch, t_len, d_model))
+    ssm_layer_backward(ssm_layer_forward(x, layer)[1], dy)  # warm up
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+
+    for need_cache in (True, False):
+        fwd = peak(lambda: ssm_layer_forward(x, layer, need_cache=need_cache))
+        assert fwd <= 3.0, (need_cache, fwd)
+    both = peak(lambda: ssm_layer_backward(ssm_layer_forward(x, layer)[1], dy))
+    assert both <= 7.0, both
+
+
 def layer_loss(x, layer, r):
     y, _ = ssm_layer_forward(x, layer)
     return float(np.sum(y * r))
@@ -281,7 +420,5 @@ def test_init_uses_distinct_state_rates():
     a = -np.exp(params.a_log)
     assert np.allclose(a[0], [-1.0, -2.0, -3.0, -4.0])
     # initial step sizes land in the configured range
-    from kickdir.numerics import softplus
-
     d = softplus(params.b_delta)
     assert np.all(d >= 0.001 - 1e-12) and np.all(d <= 0.1 + 1e-12)
