@@ -5,10 +5,19 @@ serialization, plus branch masking for ablation studies.
 Parameters and the batch-norm buffers each live in one contiguous float64
 vector (a FlatBuffer); every named array of the dataclasses is a reshaped
 view into it. Gradients fill a FlatBuffer with the parameters' layout.
+
+When both temporal branches run on large enough scan tensors, the kick
+branch runs on one persistent worker thread while the calling thread runs
+the run-up branch (numpy releases the GIL inside its loops). The branches
+share no writable state, so the bytes are those of serial code.
 """
 
+import contextvars
+import os
+import threading
 from bisect import bisect_right
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import accumulate
 from math import prod
@@ -51,6 +60,8 @@ class FlatBuffer(Mapping):
 
     Iterating yields the names. The key WHOLE gives the vector itself, so a
     one-entry mapping {WHOLE: vector} lines up with this buffer's moments.
+    `groups` maps the part of each name before its first dot to the names
+    that share it, in layout order.
     """
 
     WHOLE = "*"
@@ -63,6 +74,9 @@ class FlatBuffer(Mapping):
         self.views = {name: self.vector[lo:hi].reshape(shape)
                       for (name, shape), lo, hi
                       in zip(self.table, self.offsets, self.offsets[1:])}
+        self.groups = {}
+        for name, _ in self.table:
+            self.groups.setdefault(name.partition(".")[0], []).append(name)
 
     def __getitem__(self, name):
         return self.vector if name == self.WHOLE else self.views[name]
@@ -207,6 +221,75 @@ def batch_inputs(samples):
     return run_x, kick_x, gamma, labels
 
 
+# Elements of one (B, T, channels, states) scan tensor from which the kick
+# branch runs on the worker thread. Below it, handing the branch over costs
+# more than running it beside the run-up branch saves (a single-kick
+# prediction, or a default training step at d=16).
+THREAD_MIN_ELEMENTS = 2 ** 16
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+class _KickWorker:
+    """At most one persistent thread per process, started on first use,
+    that runs the kick-branch task while the caller runs the run-up one."""
+
+    def __init__(self):
+        self.allowed = True
+        self._reset()
+
+    def _reset(self):
+        # A forked child inherits the executor but not its thread.
+        self._lock = threading.Lock()
+        self._pool = None
+
+    def _executor(self):
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="kickdir-kick")
+            return self._pool
+
+    def run(self, elements, run_task, kick_task):
+        """(run_task(), kick_task()), with the errors serial code raises:
+        the run-up task's first. Inline on the caller below
+        THREAD_MIN_ELEMENTS, on one usable CPU, or when not allowed."""
+        if not self.allowed or elements < THREAD_MIN_ELEMENTS \
+                or _usable_cpus() < 2:
+            return run_task(), kick_task()
+        # The copied context carries the caller's np.errstate to the task.
+        future = self._executor().submit(contextvars.copy_context().run,
+                                         kick_task)
+        try:
+            first = run_task()
+        finally:
+            future.exception()  # wait, even when the run-up task failed
+        return first, future.result()
+
+
+_KICK_WORKER = _KickWorker()
+os.register_at_fork(after_in_child=_KICK_WORKER._reset)
+
+
+def keep_branches_inline():
+    """Run both branch encoders on the calling thread from now on, for
+    processes whose siblings already fill the cores (crossval --jobs)."""
+    _KICK_WORKER.allowed = False
+
+
+def _scan_elements(bundle, run_x, kick_x):
+    """Elements of one (B, T, channels, states) scan tensor of the longer
+    branch."""
+    ssm = bundle.run_enc.layers[0].block.ssm
+    return len(run_x) * max(run_x.shape[1], kick_x.shape[1]) \
+        * ssm.channels * ssm.state_size
+
+
 @dataclass
 class ModelCache:
     run_cache: object
@@ -232,20 +315,21 @@ def model_forward(bundle, run_x, kick_x, gamma, mode="train", rng=None,
     train = mode == "train"
     batch = run_x.shape[0]
     width = bundle.branch_width
-    in_head = bundle.head_branches
-    run_cache = kick_cache = meta_cache = None
-    if "run" in branches:
-        t_run, run_cache = encode_branch_forward(run_x, bundle.run_enc, train)
-    else:
-        t_run = np.zeros((batch, width))
-    if "kick" not in in_head:
-        t_kick = None
-    elif "kick" in branches:
-        t_kick, kick_cache = encode_branch_forward(kick_x, bundle.kick_enc,
-                                                   train)
-    else:
-        t_kick = np.zeros((batch, width))
-    if "meta" not in in_head:
+
+    def encode(name, x, enc):
+        if name not in bundle.head_branches:
+            return lambda: (None, None)
+        if name not in branches:
+            return lambda: (np.zeros((batch, width)), None)
+        return lambda: encode_branch_forward(x, enc, train)
+
+    both = {"run", "kick"} <= branches
+    (t_run, run_cache), (t_kick, kick_cache) = _KICK_WORKER.run(
+        _scan_elements(bundle, run_x, kick_x) if both else 0,
+        encode("run", run_x, bundle.run_enc),
+        encode("kick", kick_x, bundle.kick_enc))
+    meta_cache = None
+    if "meta" not in bundle.head_branches:
         t_meta = None
     elif "meta" in branches:
         t_meta, meta_cache = meta_branch_forward(gamma, bundle.fusion)
@@ -260,34 +344,45 @@ def model_forward(bundle, run_x, kick_x, gamma, mode="train", rng=None,
     return logits, cache
 
 
+def _copy_grads(grads, group, parts):
+    """Write parts (name within the group -> array) into the group's views
+    of grads; a view with no part gets zeros."""
+    cut = len(group) + 1
+    for name in grads.groups[group]:
+        part = parts.get(name[cut:])
+        if part is None:
+            grads.views[name].fill(0.0)
+        else:
+            grads.views[name][...] = part
+
+
 def model_backward(bundle, cache, dlogits, grads=None):
     """Fills grads, a FlatBuffer in the layout of bundle.params (a new one
     by default), with the gradient of every learnable tensor and returns
     it; masked branches get zeros."""
+    if grads is None:
+        grads = bundle.params.like()
     dt_run, dt_kick, dt_meta, fusion_grads = fusion_backward(
         cache.fusion_cache, dlogits)
-    parts = {f"fusion.{k}": v for k, v in fusion_grads.items()}
+
+    def encoder_grads(group, branch_cache, dpooled):
+        def task():
+            parts = {} if branch_cache is None else \
+                encode_branch_backward(branch_cache, dpooled)[1]
+            _copy_grads(grads, group, parts)
+        return task
+
     if cache.meta_cache is not None:
         _, meta_grads = meta_branch_backward(cache.meta_cache, dt_meta,
                                              bundle.fusion)
-        for k, v in meta_grads.items():
-            parts[f"fusion.{k}"] = v
-    if cache.run_cache is not None:
-        _, run_grads = encode_branch_backward(cache.run_cache, dt_run)
-        for k, v in run_grads.items():
-            parts[f"run_enc.{k}"] = v
-    if cache.kick_cache is not None:
-        _, kick_grads = encode_branch_backward(cache.kick_cache, dt_kick)
-        for k, v in kick_grads.items():
-            parts[f"kick_enc.{k}"] = v
-    if grads is None:
-        grads = bundle.params.like()
-    for name, view in grads.views.items():
-        part = parts.get(name)
-        if part is None:
-            view.fill(0.0)
-        else:
-            view[...] = part
+        fusion_grads = {**fusion_grads, **meta_grads}
+    _copy_grads(grads, "fusion", fusion_grads)
+    both = cache.run_cache is not None and cache.kick_cache is not None
+    _KICK_WORKER.run(
+        _scan_elements(bundle, cache.run_cache.x_in, cache.kick_cache.x_in)
+        if both else 0,
+        encoder_grads("run_enc", cache.run_cache, dt_run),
+        encoder_grads("kick_enc", cache.kick_cache, dt_kick))
     return grads
 
 

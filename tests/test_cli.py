@@ -437,6 +437,37 @@ def test_crossval_jobs_match_serial(tmp_path):
         assert serial[2].step_grad_norm == parallel[2].step_grad_norm
 
 
+def _crossval_in_child(argv):
+    raise SystemExit(main(argv))
+
+
+def test_crossval_jobs_after_threaded_steps(tmp_path, monkeypatch):
+    import multiprocessing
+    import kickdir.model as model_mod
+    # Every step takes the threaded path, so the serial run below leaves the
+    # kick worker thread running in this process before --jobs forks.
+    monkeypatch.setattr(model_mod, "THREAD_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 2)
+    data = make_dataset(tmp_path, samples=60, seed=5)
+    cfg = make_config(tmp_path, max_epochs=2)
+    argv = ["crossval", "--data", str(data), "--config", str(cfg)]
+    assert main(argv + ["--out-dir", str(tmp_path / "serial")]) == EXIT_OK
+    assert model_mod._KICK_WORKER._pool is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_crossval_in_child,
+        args=(argv + ["--out-dir", str(tmp_path / "parallel"),
+                      "--jobs", "2"],))
+    child.start()
+    child.join(timeout=300)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("crossval --jobs 2 hung after a threaded step")
+    assert child.exitcode == EXIT_OK
+    assert sha256(tmp_path / "serial" / "metrics.kv") \
+        == sha256(tmp_path / "parallel" / "metrics.kv")
+
+
 def test_worker_count_is_clamped():
     cpus = os.cpu_count() or 1
     assert _worker_count(1, 10) == 1

@@ -18,6 +18,7 @@ from kickdir.model import (
     predict,
     predict_logits,
 )
+from kickdir.train import train_fold
 
 
 def small_config(**overrides):
@@ -383,3 +384,193 @@ def test_masked_backward_clears_stale_gradients():
         kick = [g for n, g in grads.items() if n.startswith("kick_enc.")]
         assert any(g.any() for g in kick) == expect_kick
     assert not grads["fusion.w_meta"].any()
+
+
+# ------------------------------------------------- kick branch worker thread
+
+
+@pytest.fixture
+def kick_worker(monkeypatch):
+    """A fresh kick worker as the model's, on a machine that seems to have
+    two usable CPUs, so either path can be forced by THREAD_MIN_ELEMENTS."""
+    import kickdir.model as model_mod
+    worker = model_mod._KickWorker()
+    monkeypatch.setattr(model_mod, "_KICK_WORKER", worker)
+    monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 2)
+    return worker
+
+
+def _force_path(monkeypatch, threaded):
+    import kickdir.model as model_mod
+    monkeypatch.setattr(model_mod, "THREAD_MIN_ELEMENTS",
+                        0 if threaded else 2 ** 62)
+
+
+def _branch_outputs(d, batch):
+    """Train-mode logits, the gradient vector, eval logits and the trained
+    parameters and moments, at a shape above the default threshold."""
+    cfg = TrainConfig(batch_size=batch, max_epochs=2, patience=2)
+    _, samples = generate_synthetic(3 * batch, embedding_dim=d, seed=11)
+    bundle = build_model(d, 3, cfg, np.random.default_rng(12))
+    run_x, kick_x, gamma, labels = batch_inputs(samples[:batch])
+    logits, cache = model_forward(bundle, run_x, kick_x, gamma, mode="train",
+                                  rng=np.random.default_rng(13))
+    grads = model_backward(bundle, cache,
+                           loss_backward(logits, labels, unit_loss_config(3)))
+    eval_logits = predict_logits(bundle, samples)
+    trained, opt, _ = train_fold(samples[:2 * batch], samples[2 * batch:],
+                                 cfg)
+    return (logits, grads.vector, eval_logits, trained.params.vector,
+            trained.state.vector, opt.m.vector, opt.v.vector)
+
+
+@pytest.mark.parametrize("d, batch", [(16, 30), (128, 5)])
+def test_threaded_branches_match_inline_bit_for_bit(monkeypatch, kick_worker,
+                                                    d, batch):
+    import kickdir.model as model_mod
+    ssm = build_model(d, 3, TrainConfig(), np.random.default_rng(0)) \
+        .run_enc.layers[0].block.ssm
+    assert batch * 5 * ssm.channels * ssm.state_size \
+        >= model_mod.THREAD_MIN_ELEMENTS
+    _force_path(monkeypatch, threaded=False)
+    inline = _branch_outputs(d, batch)
+    assert kick_worker._pool is None
+    _force_path(monkeypatch, threaded=True)
+    threaded = _branch_outputs(d, batch)
+    assert kick_worker._pool is not None
+    for a, b in zip(inline, threaded):
+        assert np.array_equal(a, b)
+
+
+def test_small_shapes_never_start_the_worker(kick_worker):
+    _, samples = generate_synthetic(20, embedding_dim=16, seed=14)
+    for d in (16, 128):
+        bundle = build_model(d, 3, TrainConfig(), np.random.default_rng(15))
+        predict_logits(bundle, generate_synthetic(
+            1, embedding_dim=d, seed=16)[1])
+    cfg = TrainConfig(batch_size=5, max_epochs=1, patience=1)
+    train_fold(samples[:15], samples[15:], cfg)
+    assert kick_worker._pool is None
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_kick_branch_overflow_raises_under_errstate(monkeypatch, kick_worker,
+                                                    threaded):
+    _force_path(monkeypatch, threaded)
+    bundle = build_model(16, 3, TrainConfig(), np.random.default_rng(17))
+    run_x, kick_x, gamma, _ = make_batch(np.random.default_rng(18), batch=30,
+                                         n_r=5, n_k=3, d=16)
+    # The kick branch's layer norm squares values near 1e201.
+    with np.errstate(over="raise"):
+        model_forward(bundle, run_x, kick_x, gamma, mode="eval")
+        with pytest.raises(FloatingPointError):
+            model_forward(bundle, run_x, kick_x * 1e200, gamma, mode="eval")
+    assert (kick_worker._pool is not None) == threaded
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_branch_errors_surface_in_serial_order(monkeypatch, kick_worker,
+                                               threaded):
+    import threading
+    import time
+    _force_path(monkeypatch, threaded)
+    kick_done = threading.Event()
+
+    def fail(name):
+        def task():
+            raise RuntimeError(name)
+        return task
+
+    def slow_kick_failure():
+        time.sleep(0.05)
+        kick_done.set()
+        raise RuntimeError("kick")
+
+    def ok(value):
+        return lambda: value
+
+    with pytest.raises(RuntimeError, match="run"):
+        kick_worker.run(1, fail("run"), slow_kick_failure)
+    # The run-up error surfaces only once the kick task is done.
+    assert kick_done.is_set() == threaded
+    with pytest.raises(RuntimeError, match="kick"):
+        kick_worker.run(1, ok("a"), fail("kick"))
+    with pytest.raises(RuntimeError, match="run"):
+        kick_worker.run(1, fail("run"), ok("b"))
+    assert kick_worker.run(1, ok("a"), ok("b")) == ("a", "b")
+    assert (kick_worker._pool is not None) == threaded
+
+
+def test_concurrent_callers_start_one_worker(monkeypatch, kick_worker):
+    import sys
+    import threading
+    import time
+    import kickdir.model as model_mod
+    pools = []
+
+    def counted_pool(*args, **kwargs):
+        time.sleep(0.01)  # widens the window between check and set
+        pools.append(real_pool(*args, **kwargs))
+        return pools[-1]
+
+    real_pool = model_mod.ThreadPoolExecutor
+    monkeypatch.setattr(model_mod, "ThreadPoolExecutor", counted_pool)
+    bundle = build_model(4, 3, small_config(), np.random.default_rng(21))
+    run_x, kick_x, gamma, _ = make_batch(np.random.default_rng(22))
+    _force_path(monkeypatch, threaded=False)
+    expected, _ = model_forward(bundle, run_x, kick_x, gamma, mode="eval")
+    _force_path(monkeypatch, threaded=True)
+    callers = 8
+    start = threading.Barrier(callers)
+    results = [None] * callers
+
+    def call(i):
+        start.wait(timeout=30)
+        for _ in range(20):
+            results[i], _ = model_forward(bundle, run_x, kick_x, gamma,
+                                          mode="eval")
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(callers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(pools) == 1
+    for got in results:
+        assert np.array_equal(got, expected)
+
+
+def _threaded_logits_in_child(bundle, run_x, kick_x, gamma, expected):
+    logits, _ = model_forward(bundle, run_x, kick_x, gamma, mode="eval")
+    if not np.array_equal(logits, expected):
+        raise SystemExit(1)
+
+
+def test_forked_child_starts_its_own_worker(monkeypatch):
+    import multiprocessing
+    import kickdir.model as model_mod
+    # The model's own worker: the fork hook is registered for it.
+    monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 2)
+    _force_path(monkeypatch, threaded=True)
+    bundle = build_model(16, 3, TrainConfig(), np.random.default_rng(19))
+    run_x, kick_x, gamma, _ = make_batch(np.random.default_rng(20), batch=30,
+                                         n_r=5, n_k=3, d=16)
+    expected, _ = model_forward(bundle, run_x, kick_x, gamma, mode="eval")
+    assert model_mod._KICK_WORKER._pool is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_threaded_logits_in_child,
+        args=(bundle, run_x, kick_x, gamma, expected))
+    child.start()
+    child.join(timeout=120)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child waited on its parent's worker thread")
+    assert child.exitcode == 0
