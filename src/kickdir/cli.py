@@ -28,7 +28,7 @@ from .data import (
 from .errors import ConfigError, DataError, KickdirError, TrainingDivergedError
 from .metrics import class_names, evaluate as evaluate_model, gk_baseline, \
     mean_report, pool_confusions, ConfusionMatrix, SubgroupStats
-from .model import ALL_BRANCHES, keep_branches_inline, normalize_branches
+from .model import ALL_BRANCHES, normalize_branches
 from .report import (
     build_ablation_kv,
     build_crossval_kv,
@@ -136,8 +136,7 @@ def _run_folds(samples, split, cfg, jobs=1, branches=None, head=None):
         train_samples, val_samples = split.split(samples, fold)
         tasks.append((fold, train_samples, val_samples, cfg, branches, head))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 initializer=keep_branches_inline) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_fold_task, tasks))
     return [_fold_task(t) for t in tasks]
 

@@ -60,8 +60,6 @@ class FlatBuffer(Mapping):
 
     Iterating yields the names. The key WHOLE gives the vector itself, so a
     one-entry mapping {WHOLE: vector} lines up with this buffer's moments.
-    `groups` maps the part of each name before its first dot to the names
-    that share it, in layout order.
     """
 
     WHOLE = "*"
@@ -74,9 +72,6 @@ class FlatBuffer(Mapping):
         self.views = {name: self.vector[lo:hi].reshape(shape)
                       for (name, shape), lo, hi
                       in zip(self.table, self.offsets, self.offsets[1:])}
-        self.groups = {}
-        for name, _ in self.table:
-            self.groups.setdefault(name.partition(".")[0], []).append(name)
 
     def __getitem__(self, name):
         return self.vector if name == self.WHOLE else self.views[name]
@@ -228,6 +223,13 @@ def batch_inputs(samples):
 THREAD_MIN_ELEMENTS = 2 ** 16
 
 
+def scan_elements_per_sample(bundle, seq_len):
+    """Elements of one sample's (T, channels, states) scan tensor for
+    sequences of seq_len clips."""
+    ssm = bundle.run_enc.layers[0].block.ssm
+    return seq_len * ssm.channels * ssm.state_size
+
+
 def _usable_cpus():
     try:
         return len(os.sched_getaffinity(0))
@@ -235,12 +237,20 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _threaded(bundle, run_x, kick_x):
+    """Whether the kick branch runs on the worker thread: one scan tensor of
+    the longer branch reaches THREAD_MIN_ELEMENTS and the process may use
+    two CPUs."""
+    seq_len = max(run_x.shape[1], kick_x.shape[1])
+    return len(run_x) * scan_elements_per_sample(bundle, seq_len) \
+        >= THREAD_MIN_ELEMENTS and _usable_cpus() >= 2
+
+
 class _KickWorker:
     """At most one persistent thread per process, started on first use,
     that runs the kick-branch task while the caller runs the run-up one."""
 
     def __init__(self):
-        self.allowed = True
         self._reset()
 
     def _reset(self):
@@ -255,13 +265,9 @@ class _KickWorker:
                     max_workers=1, thread_name_prefix="kickdir-kick")
             return self._pool
 
-    def run(self, elements, run_task, kick_task):
-        """(run_task(), kick_task()), with the errors serial code raises:
-        the run-up task's first. Inline on the caller below
-        THREAD_MIN_ELEMENTS, on one usable CPU, or when not allowed."""
-        if not self.allowed or elements < THREAD_MIN_ELEMENTS \
-                or _usable_cpus() < 2:
-            return run_task(), kick_task()
+    def run(self, run_task, kick_task):
+        """(run_task(), kick_task()), with kick_task on the worker thread and
+        the errors serial code raises: the run-up task's first."""
         # The copied context carries the caller's np.errstate to the task.
         future = self._executor().submit(contextvars.copy_context().run,
                                          kick_task)
@@ -274,20 +280,6 @@ class _KickWorker:
 
 _KICK_WORKER = _KickWorker()
 os.register_at_fork(after_in_child=_KICK_WORKER._reset)
-
-
-def keep_branches_inline():
-    """Run both branch encoders on the calling thread from now on, for
-    processes whose siblings already fill the cores (crossval --jobs)."""
-    _KICK_WORKER.allowed = False
-
-
-def _scan_elements(bundle, run_x, kick_x):
-    """Elements of one (B, T, channels, states) scan tensor of the longer
-    branch."""
-    ssm = bundle.run_enc.layers[0].block.ssm
-    return len(run_x) * max(run_x.shape[1], kick_x.shape[1]) \
-        * ssm.channels * ssm.state_size
 
 
 @dataclass
@@ -315,21 +307,26 @@ def model_forward(bundle, run_x, kick_x, gamma, mode="train", rng=None,
     train = mode == "train"
     batch = run_x.shape[0]
     width = bundle.branch_width
-
-    def encode(name, x, enc):
-        if name not in bundle.head_branches:
-            return lambda: (None, None)
-        if name not in branches:
-            return lambda: (np.zeros((batch, width)), None)
-        return lambda: encode_branch_forward(x, enc, train)
-
-    both = {"run", "kick"} <= branches
-    (t_run, run_cache), (t_kick, kick_cache) = _KICK_WORKER.run(
-        _scan_elements(bundle, run_x, kick_x) if both else 0,
-        encode("run", run_x, bundle.run_enc),
-        encode("kick", kick_x, bundle.kick_enc))
-    meta_cache = None
-    if "meta" not in bundle.head_branches:
+    in_head = bundle.head_branches
+    run_cache = kick_cache = meta_cache = None
+    if {"run", "kick"} <= branches and _threaded(bundle, run_x, kick_x):
+        (t_run, run_cache), (t_kick, kick_cache) = _KICK_WORKER.run(
+            lambda: encode_branch_forward(run_x, bundle.run_enc, train),
+            lambda: encode_branch_forward(kick_x, bundle.kick_enc, train))
+    else:
+        if "run" in branches:
+            t_run, run_cache = encode_branch_forward(run_x, bundle.run_enc,
+                                                     train)
+        else:
+            t_run = np.zeros((batch, width))
+        if "kick" not in in_head:
+            t_kick = None
+        elif "kick" in branches:
+            t_kick, kick_cache = encode_branch_forward(kick_x,
+                                                       bundle.kick_enc, train)
+        else:
+            t_kick = np.zeros((batch, width))
+    if "meta" not in in_head:
         t_meta = None
     elif "meta" in branches:
         t_meta, meta_cache = meta_branch_forward(gamma, bundle.fusion)
@@ -344,45 +341,55 @@ def model_forward(bundle, run_x, kick_x, gamma, mode="train", rng=None,
     return logits, cache
 
 
-def _copy_grads(grads, group, parts):
-    """Write parts (name within the group -> array) into the group's views
-    of grads; a view with no part gets zeros."""
-    cut = len(group) + 1
-    for name in grads.groups[group]:
-        part = parts.get(name[cut:])
-        if part is None:
-            grads.views[name].fill(0.0)
-        else:
-            grads.views[name][...] = part
+def _encoder_grads(group, branch_cache, dpooled):
+    """One encoder's gradients by full parameter name; none when masked."""
+    if branch_cache is None:
+        return {}
+    _, grads = encode_branch_backward(branch_cache, dpooled)
+    return {f"{group}.{k}": v for k, v in grads.items()}
+
+
+def _copy_grads(grads, parts, prefix=""):
+    """Write parts (name -> array) into the views of grads whose names start
+    with prefix; such a view with no part gets zeros."""
+    cut = len(prefix)
+    for name, view in grads.views.items():
+        if name[:cut] == prefix:
+            part = parts.get(name)
+            if part is None:
+                view.fill(0.0)
+            else:
+                view[...] = part
 
 
 def model_backward(bundle, cache, dlogits, grads=None):
     """Fills grads, a FlatBuffer in the layout of bundle.params (a new one
     by default), with the gradient of every learnable tensor and returns
     it; masked branches get zeros."""
-    if grads is None:
-        grads = bundle.params.like()
     dt_run, dt_kick, dt_meta, fusion_grads = fusion_backward(
         cache.fusion_cache, dlogits)
-
-    def encoder_grads(group, branch_cache, dpooled):
-        def task():
-            parts = {} if branch_cache is None else \
-                encode_branch_backward(branch_cache, dpooled)[1]
-            _copy_grads(grads, group, parts)
-        return task
-
+    parts = {f"fusion.{k}": v for k, v in fusion_grads.items()}
     if cache.meta_cache is not None:
         _, meta_grads = meta_branch_backward(cache.meta_cache, dt_meta,
                                              bundle.fusion)
-        fusion_grads = {**fusion_grads, **meta_grads}
-    _copy_grads(grads, "fusion", fusion_grads)
-    both = cache.run_cache is not None and cache.kick_cache is not None
-    _KICK_WORKER.run(
-        _scan_elements(bundle, cache.run_cache.x_in, cache.kick_cache.x_in)
-        if both else 0,
-        encoder_grads("run_enc", cache.run_cache, dt_run),
-        encoder_grads("kick_enc", cache.kick_cache, dt_kick))
+        for k, v in meta_grads.items():
+            parts[f"fusion.{k}"] = v
+    if grads is None:
+        grads = bundle.params.like()
+    run_cache, kick_cache = cache.run_cache, cache.kick_cache
+    if run_cache is not None and kick_cache is not None \
+            and _threaded(bundle, run_cache.x_in, kick_cache.x_in):
+        # Each branch writes its own views on the thread that computed them.
+        _copy_grads(grads, parts, "fusion.")
+        _KICK_WORKER.run(
+            lambda: _copy_grads(grads, _encoder_grads(
+                "run_enc", run_cache, dt_run), "run_enc."),
+            lambda: _copy_grads(grads, _encoder_grads(
+                "kick_enc", kick_cache, dt_kick), "kick_enc."))
+    else:
+        parts.update(_encoder_grads("run_enc", run_cache, dt_run))
+        parts.update(_encoder_grads("kick_enc", kick_cache, dt_kick))
+        _copy_grads(grads, parts)
     return grads
 
 
@@ -394,9 +401,8 @@ EVAL_CHUNK_ELEMENTS = 2 ** 18
 
 def eval_chunk_size(bundle, seq_len):
     """Samples per eval forward for sequences of seq_len clips."""
-    ssm = bundle.run_enc.layers[0].block.ssm
     return max(1, EVAL_CHUNK_ELEMENTS
-               // (seq_len * ssm.channels * ssm.state_size))
+               // scan_elements_per_sample(bundle, seq_len))
 
 
 def predict_logits(bundle, samples, branches=None):

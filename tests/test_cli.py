@@ -445,7 +445,8 @@ def test_crossval_jobs_after_threaded_steps(tmp_path, monkeypatch):
     import multiprocessing
     import kickdir.model as model_mod
     # Every step takes the threaded path, so the serial run below leaves the
-    # kick worker thread running in this process before --jobs forks.
+    # kick worker thread running in this process before --jobs forks, and
+    # each pool worker then starts a worker thread of its own.
     monkeypatch.setattr(model_mod, "THREAD_MIN_ELEMENTS", 0)
     monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 2)
     data = make_dataset(tmp_path, samples=60, seed=5)

@@ -442,6 +442,28 @@ def test_threaded_branches_match_inline_bit_for_bit(monkeypatch, kick_worker,
         assert np.array_equal(a, b)
 
 
+def test_threaded_backward_clears_stale_gradients(monkeypatch, kick_worker):
+    rng = np.random.default_rng(33)
+    bundle = build_model(4, 3, small_config(), np.random.default_rng(34))
+    run_x, kick_x, gamma, labels = make_batch(rng)
+    cfg = unit_loss_config(3)
+    vectors = []
+    for threaded in (False, True):
+        _force_path(monkeypatch, threaded)
+        buf = bundle.params.like()
+        for branches in (ALL_BRANCHES, {"run", "kick"}):
+            logits, cache = model_forward(bundle, run_x, kick_x, gamma,
+                                          mode="train",
+                                          rng=np.random.default_rng(0),
+                                          branches=branches)
+            model_backward(bundle, cache, loss_backward(logits, labels, cfg),
+                           buf)
+        assert not buf["fusion.w_meta"].any()
+        vectors.append(buf.vector.copy())
+    assert kick_worker._pool is not None
+    assert np.array_equal(*vectors)
+
+
 def test_small_shapes_never_start_the_worker(kick_worker):
     _, samples = generate_synthetic(20, embedding_dim=16, seed=14)
     for d in (16, 128):
@@ -468,12 +490,9 @@ def test_kick_branch_overflow_raises_under_errstate(monkeypatch, kick_worker,
     assert (kick_worker._pool is not None) == threaded
 
 
-@pytest.mark.parametrize("threaded", [False, True])
-def test_branch_errors_surface_in_serial_order(monkeypatch, kick_worker,
-                                               threaded):
+def test_branch_errors_surface_in_serial_order(kick_worker):
     import threading
     import time
-    _force_path(monkeypatch, threaded)
     kick_done = threading.Event()
 
     def fail(name):
@@ -490,15 +509,15 @@ def test_branch_errors_surface_in_serial_order(monkeypatch, kick_worker,
         return lambda: value
 
     with pytest.raises(RuntimeError, match="run"):
-        kick_worker.run(1, fail("run"), slow_kick_failure)
+        kick_worker.run(fail("run"), slow_kick_failure)
     # The run-up error surfaces only once the kick task is done.
-    assert kick_done.is_set() == threaded
+    assert kick_done.is_set()
     with pytest.raises(RuntimeError, match="kick"):
-        kick_worker.run(1, ok("a"), fail("kick"))
+        kick_worker.run(ok("a"), fail("kick"))
     with pytest.raises(RuntimeError, match="run"):
-        kick_worker.run(1, fail("run"), ok("b"))
-    assert kick_worker.run(1, ok("a"), ok("b")) == ("a", "b")
-    assert (kick_worker._pool is not None) == threaded
+        kick_worker.run(fail("run"), ok("b"))
+    assert kick_worker.run(ok("a"), ok("b")) == ("a", "b")
+    assert kick_worker._pool is not None
 
 
 def test_concurrent_callers_start_one_worker(monkeypatch, kick_worker):
