@@ -6,19 +6,25 @@ Parameters and the batch-norm buffers each live in one contiguous float64
 vector (a FlatBuffer); every named array of the dataclasses is a reshaped
 view into it. Gradients fill a FlatBuffer with the parameters' layout.
 
-When both temporal branches run on large enough scan tensors, the kick
-branch runs on one persistent worker thread while the calling thread runs
-the run-up branch (numpy releases the GIL inside its loops). The branches
-share no writable state, so the bytes are those of serial code.
+The process has one persistent worker thread, which takes a share of
+independent tasks while the calling thread takes the rest (numpy releases
+the GIL inside its loops). A training step splits by branch: on large
+enough scan tensors the run-up and kick encoders run at the same time.
+Scoring a sample list of two or more eval chunks splits by whole chunk,
+and each chunk runs both branches on the thread that took it. No task
+writes what another reads, and each runs the arithmetic serial code runs,
+so the bytes are those of serial code.
 """
 
 import contextvars
 import os
 import threading
 from bisect import bisect_right
+from collections import deque
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import partial
 from itertools import accumulate
 from math import prod
 
@@ -231,6 +237,8 @@ def scan_elements_per_sample(bundle, seq_len):
 
 
 def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -248,7 +256,7 @@ def _threaded(bundle, run_x, kick_x):
 
 class _KickWorker:
     """At most one persistent thread per process, started on first use,
-    that runs the kick-branch task while the caller runs the run-up one."""
+    that takes a share of the independent tasks handed to run."""
 
     def __init__(self):
         self._reset()
@@ -257,25 +265,53 @@ class _KickWorker:
         # A forked child inherits the executor but not its thread.
         self._lock = threading.Lock()
         self._pool = None
+        self._local = threading.local()
 
     def _executor(self):
         with self._lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="kickdir-kick")
+                    max_workers=1, thread_name_prefix="kickdir-worker")
             return self._pool
 
-    def run(self, run_task, kick_task):
-        """(run_task(), kick_task()), with kick_task on the worker thread and
-        the errors serial code raises: the run-up task's first."""
-        # The copied context carries the caller's np.errstate to the task.
+    def run(self, *tasks):
+        """The tuple of each task's result. The caller and the worker thread
+        each take the next task not yet taken until none is left. Every task
+        runs, and the error raised is the first failing task's, as in a
+        loop. A task that calls run has its tasks run in order on its own
+        thread, so the worker never waits on itself."""
+        if getattr(self._local, "busy", False):
+            return tuple(task() for task in tasks)
+        pending = deque(enumerate(tasks))  # popleft is thread-safe
+        results = [None] * len(tasks)
+        errors = {}
+
+        def drain():
+            self._local.busy = True
+            try:
+                while pending:
+                    try:
+                        i, task = pending.popleft()
+                    except IndexError:  # the other thread took the last one
+                        return
+                    try:
+                        results[i] = task()
+                    except Exception as exc:  # re-raised below, in order
+                        errors[i] = exc
+            finally:
+                self._local.busy = False
+
+        # The copied context carries the caller's np.errstate to the tasks.
         future = self._executor().submit(contextvars.copy_context().run,
-                                         kick_task)
+                                         drain)
         try:
-            first = run_task()
+            drain()
         finally:
-            future.exception()  # wait, even when the run-up task failed
-        return first, future.result()
+            if not future.cancel():  # the worker started: wait for its task
+                future.exception()
+        if errors:
+            raise errors[min(errors)]
+        return tuple(results)
 
 
 _KICK_WORKER = _KickWorker()
@@ -409,6 +445,11 @@ def predict_logits(bundle, samples, branches=None):
     """Eval-mode logits for a sample list, scored in bounded chunks.
     branches=None enables every branch the bundle's head carries.
 
+    When the list spans two or more chunks and the process may use two
+    CPUs, the calling thread and the worker take whole chunks in turn.
+    Each chunk's logits are those a one-chunk call gives, since a chunk is
+    never split by sample.
+
     Raises DataError naming the first sample whose embeddings are not
     finite.
     """
@@ -419,17 +460,26 @@ def predict_logits(bundle, samples, branches=None):
         return out
     seq_len = max(len(samples[0].run_seq), len(samples[0].kick_seq))
     step = eval_chunk_size(bundle, seq_len)
-    for start in range(0, len(samples), step):
-        chunk = samples[start:start + step]
-        run_x, kick_x, gamma, _ = batch_inputs(chunk)
-        finite = np.isfinite(run_x).all(axis=(1, 2)) \
-            & np.isfinite(kick_x).all(axis=(1, 2))
-        if not finite.all():
-            bad = chunk[int(np.argmin(finite))]
-            raise DataError(f"sample {bad.id!r} has non-finite embeddings")
-        out[start:start + step], _ = model_forward(
-            bundle, run_x, kick_x, gamma, mode="eval", branches=branches)
+    tasks = [partial(_score_chunk, bundle, samples[i:i + step], branches,
+                     out[i:i + step]) for i in range(0, len(samples), step)]
+    if len(tasks) > 1 and _usable_cpus() >= 2:
+        _KICK_WORKER.run(*tasks)
+    else:
+        for task in tasks:
+            task()
     return out
+
+
+def _score_chunk(bundle, chunk, branches, out):
+    """Write the eval-mode logits of one chunk of samples into out."""
+    run_x, kick_x, gamma, _ = batch_inputs(chunk)
+    finite = np.isfinite(run_x).all(axis=(1, 2)) \
+        & np.isfinite(kick_x).all(axis=(1, 2))
+    if not finite.all():
+        bad = chunk[int(np.argmin(finite))]
+        raise DataError(f"sample {bad.id!r} has non-finite embeddings")
+    out[...], _ = model_forward(bundle, run_x, kick_x, gamma, mode="eval",
+                                branches=branches)
 
 
 def predict(bundle, samples, branches=None):

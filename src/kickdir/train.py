@@ -1,5 +1,10 @@
 """Optimization loop: AdamW with decoupled decay, cosine warmup, global
 gradient clipping, early stopping on validation accuracy, checkpointing.
+
+AdamW splits by block: a tensor of two or more ADAMW_BLOCKs, such as the
+flat parameter vector at d=128, has the second half of its blocks updated
+on the model's worker thread while the caller updates the first half. The
+update is elementwise, so every element gets the bytes a serial loop gives.
 """
 
 import json
@@ -7,6 +12,7 @@ import os
 import zipfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -14,6 +20,7 @@ from .augment import augment
 from .config import TrainConfig
 from .data import compute_class_weights
 from .errors import ConfigError, DataError, TrainingDivergedError
+from . import model
 from .fusion import LossConfig, loss_backward, weighted_smoothed_ce
 from .model import (
     FlatBuffer,
@@ -57,8 +64,8 @@ def clip_gradients(grads, max_norm=1.0, step=None):
 @dataclass
 class OptimizerState:
     """Adam moments by parameter name. For a FlatBuffer of parameters, m and
-    v are FlatBuffers with its layout. scratch holds the two block-sized
-    rows adamw_step works in; it is not saved."""
+    v are FlatBuffers with its layout. scratch holds the block-sized rows
+    adamw_step works in, two per thread; it is not saved."""
 
     m: dict
     v: dict
@@ -87,16 +94,16 @@ def adamw_step(params, grads, state, lr_t, wd=5e-2):
     theta <- theta - lr_t * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
 
     Each C-contiguous tensor is updated in blocks of ADAMW_BLOCK elements,
-    with the same arithmetic per element as the formula above.
+    with the same arithmetic per element as the formula above. A tensor of
+    two or more blocks has the second half of its blocks updated on the
+    worker thread when the process may use two CPUs.
     """
     if set(params) != set(grads):
         raise ValueError("parameter and gradient registries disagree")
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    if state.scratch is None:
-        state.scratch = np.empty((2, ADAMW_BLOCK))
+    b1, b2 = state.beta1, state.beta2
+    coef = (b1, b2, state.eps, 1.0 - b1 ** state.t, 1.0 - b2 ** state.t,
+            lr_t, wd)
     for name, theta in params.items():
         g = grads[name]
         if g.shape != theta.shape:
@@ -104,25 +111,46 @@ def adamw_step(params, grads, state, lr_t, wd=5e-2):
         m, v = state.m[name], state.v[name]
         if not all(a.flags.c_contiguous for a in (theta, m, v)):
             raise ValueError(f"{name} or its moments are not C-contiguous")
-        theta, g, m, v = (a.reshape(-1) for a in (theta, g, m, v))
-        for lo in range(0, theta.size, ADAMW_BLOCK):
-            hi = lo + ADAMW_BLOCK
-            th, gb, mb, vb = theta[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            s, u = state.scratch[:, :th.size]
-            mb *= b1
-            mb += np.multiply(gb, 1.0 - b1, out=s)
-            vb *= b2
-            np.multiply(gb, 1.0 - b2, out=s)
-            vb += np.multiply(s, gb, out=s)
-            np.divide(vb, bc2, out=s)
-            np.sqrt(s, out=s)
-            s += eps
-            np.divide(mb, bc1, out=u)
-            u /= s
-            u += np.multiply(th, wd, out=s)
-            u *= lr_t
-            th -= u
+        flat = tuple(a.reshape(-1) for a in (theta, g, m, v))
+        blocks = -(-theta.size // ADAMW_BLOCK)
+        split = blocks > 1 and model._usable_cpus() > 1
+        rows = 4 if split else 2
+        if state.scratch is None or len(state.scratch) < rows:
+            state.scratch = np.empty((rows, ADAMW_BLOCK))
+        if split:
+            mid = (blocks - blocks // 2) * ADAMW_BLOCK
+            model._KICK_WORKER.run(
+                partial(_adamw_blocks, flat, 0, mid, state.scratch[:2], coef),
+                partial(_adamw_blocks, flat, mid, theta.size,
+                        state.scratch[2:], coef))
+        else:
+            _adamw_blocks(flat, 0, theta.size, state.scratch[:2], coef)
     return params, state
+
+
+def _adamw_blocks(flat, lo, hi, scratch, coef):
+    """The AdamW update of elements lo:hi of the flat (theta, g, m, v), one
+    ADAMW_BLOCK at a time through the two scratch rows."""
+    b1, b2, eps, bc1, bc2, lr_t, wd = coef
+    theta, g, m, v = flat
+    for start in range(lo, hi, ADAMW_BLOCK):
+        stop = min(start + ADAMW_BLOCK, hi)
+        th, gb, mb, vb = theta[start:stop], g[start:stop], m[start:stop], \
+            v[start:stop]
+        s, u = scratch[:, :th.size]
+        mb *= b1
+        mb += np.multiply(gb, 1.0 - b1, out=s)
+        vb *= b2
+        np.multiply(gb, 1.0 - b2, out=s)
+        vb += np.multiply(s, gb, out=s)
+        np.divide(vb, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(mb, bc1, out=u)
+        u /= s
+        u += np.multiply(th, wd, out=s)
+        u *= lr_t
+        th -= u
 
 
 def cosine_warmup_lr(step, warmup_steps, total_steps, lr_max=1e-3):
@@ -356,7 +384,8 @@ def load_checkpoint(path):
 
 
 def _read_checkpoint(path):
-    with np.load(path, allow_pickle=False) as data:
+    # Through our own handle, which closes even when np.load fails partway.
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
         meta = json.loads(str(data["meta_json"]))
         cfg = TrainConfig.from_text(meta["config_text"])
         rng = np.random.default_rng(0)  # placeholder values, overwritten below

@@ -479,6 +479,12 @@ def test_worker_count_is_clamped():
             _worker_count(bad, 10)
 
 
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert _worker_count(4, 10) == 1
+
+
 def test_crossval_rejects_zero_jobs(tmp_path, capsys):
     data = make_dataset(tmp_path)
     cfg = make_config(tmp_path)

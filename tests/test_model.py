@@ -391,8 +391,8 @@ def test_masked_backward_clears_stale_gradients():
 
 @pytest.fixture
 def kick_worker(monkeypatch):
-    """A fresh kick worker as the model's, on a machine that seems to have
-    two usable CPUs, so either path can be forced by THREAD_MIN_ELEMENTS."""
+    """A fresh worker as the model's, on a machine that seems to have two
+    usable CPUs; _force_path picks the path."""
     import kickdir.model as model_mod
     worker = model_mod._KickWorker()
     monkeypatch.setattr(model_mod, "_KICK_WORKER", worker)
@@ -401,9 +401,13 @@ def kick_worker(monkeypatch):
 
 
 def _force_path(monkeypatch, threaded):
+    """Threaded: every split is taken, the branch split at any size.
+    Inline: one usable CPU, so no split is taken, whether by branch, by
+    eval chunk or by AdamW block."""
     import kickdir.model as model_mod
-    monkeypatch.setattr(model_mod, "THREAD_MIN_ELEMENTS",
-                        0 if threaded else 2 ** 62)
+    monkeypatch.setattr(model_mod, "THREAD_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(model_mod, "_usable_cpus",
+                        lambda: 2 if threaded else 1)
 
 
 def _branch_outputs(d, batch):
@@ -593,3 +597,164 @@ def test_forked_child_starts_its_own_worker(monkeypatch):
         child.join()
         pytest.fail("the forked child waited on its parent's worker thread")
     assert child.exitcode == 0
+
+
+# ------------------------------------------ eval chunks and AdamW blocks
+
+
+def _seven_chunks(monkeypatch, n=20):
+    """A small model and n samples that eval splits into chunks of three."""
+    import kickdir.model as model_mod
+    bundle = build_model(6, 3, small_config(), np.random.default_rng(40))
+    _, samples = generate_synthetic(n, embedding_dim=6, n_r=3, n_k=2, seed=41)
+    monkeypatch.setattr(model_mod, "EVAL_CHUNK_ELEMENTS", 3 * 3 * 8 * 2)
+    assert -(-n // model_mod.eval_chunk_size(bundle, 3)) == 7
+    return bundle, samples
+
+
+def test_chunk_parallel_predict_matches_one_cpu(monkeypatch, kick_worker):
+    bundle, samples = _seven_chunks(monkeypatch)
+    _force_path(monkeypatch, threaded=False)
+    serial = predict_logits(bundle, samples)
+    assert kick_worker._pool is None
+    _force_path(monkeypatch, threaded=True)
+    for _ in range(5):
+        assert np.array_equal(predict_logits(bundle, samples), serial)
+    assert kick_worker._pool is not None
+
+
+def test_chunk_errors_name_the_first_bad_sample(monkeypatch, kick_worker):
+    from kickdir.errors import DataError
+    bundle, samples = _seven_chunks(monkeypatch)
+    expected = predict_logits(bundle, samples)
+    assert kick_worker._pool is not None
+    bad = [samples[i] for i in (4, 13)]  # in the second and fifth chunks
+    bad[0].run_seq[0, 0] = np.nan
+    bad[1].kick_seq[1, 2] = np.inf
+    for _ in range(5):
+        with pytest.raises(DataError, match=bad[0].id):
+            predict_logits(bundle, samples)
+    clean = samples[:3] + samples[6:12] + samples[15:]
+    assert np.array_equal(predict_logits(bundle, clean),
+                          np.concatenate([expected[:3], expected[6:12],
+                                          expected[15:]]))
+
+
+def test_worker_raises_the_first_failing_task(kick_worker):
+    import threading
+    import time
+    started = threading.Event()
+
+    def slow_failure():
+        started.wait(timeout=30)  # the worker has taken the second task
+        time.sleep(0.02)
+        raise RuntimeError("first")
+
+    def quick_failure():
+        started.set()
+        raise RuntimeError("second")
+
+    with pytest.raises(RuntimeError, match="first"):
+        kick_worker.run(slow_failure, quick_failure, lambda: 3)
+    assert kick_worker.run(lambda: 1, lambda: 2, lambda: 3) == (1, 2, 3)
+
+
+def test_errstate_reaches_a_chunk_on_the_worker(monkeypatch, kick_worker):
+    import threading
+    import kickdir.model as model_mod
+    bundle, samples = _seven_chunks(monkeypatch)
+    bundle.kick_enc.w_proj *= 1e200  # the kick branch's layer norm overflows
+    worker_ran = threading.Event()
+    runs = []  # (on the worker, raised FloatingPointError) per chunk
+    real_forward = model_mod.model_forward
+
+    def forward(*args, **kwargs):
+        on_worker = threading.current_thread().name.startswith("kickdir")
+        if not on_worker:
+            # The caller holds its first chunk until the worker has run one.
+            assert worker_ran.wait(timeout=30)
+        overflow = False
+        try:
+            return real_forward(*args, **kwargs)
+        except FloatingPointError:
+            overflow = True
+            raise
+        finally:
+            runs.append((on_worker, overflow))
+            if on_worker:
+                worker_ran.set()
+
+    monkeypatch.setattr(model_mod, "model_forward", forward)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            predict_logits(bundle, samples)
+    assert len(runs) == 7 and any(on_worker for on_worker, _ in runs)
+    assert all(overflow for _, overflow in runs)
+
+
+def test_concurrent_multi_chunk_callers_finish(monkeypatch, kick_worker):
+    import sys
+    import threading
+    bundle, samples = _seven_chunks(monkeypatch)
+    callers = 6
+    _force_path(monkeypatch, threaded=False)
+    expected = [predict_logits(bundle, samples[i:]) for i in range(callers)]
+    _force_path(monkeypatch, threaded=True)
+    start = threading.Barrier(callers)
+    results = [[] for _ in range(callers)]
+
+    def call(i):
+        start.wait(timeout=30)
+        for _ in range(10):
+            results[i].append(predict_logits(bundle, samples[i:]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(callers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for i, got in enumerate(results):
+        assert len(got) == 10
+        assert all(np.array_equal(g, expected[i]) for g in got)
+
+
+def test_one_chunk_and_one_block_never_start_the_worker(monkeypatch,
+                                                       kick_worker):
+    import kickdir.model as model_mod
+    from kickdir.train import ADAMW_BLOCK, adamw_step, init_optimizer
+    bundle, samples = _seven_chunks(monkeypatch)
+    # No branch split, so only a chunk split can start the worker.
+    monkeypatch.setattr(model_mod, "THREAD_MIN_ELEMENTS", 2 ** 62)
+    predict_logits(bundle, samples[:3])
+    rng = np.random.default_rng(44)
+    params = {"w": rng.normal(size=ADAMW_BLOCK)}
+    adamw_step(params, {"w": rng.normal(size=ADAMW_BLOCK)},
+               init_optimizer(params), lr_t=1e-3)
+    assert kick_worker._pool is None
+    predict_logits(bundle, samples[:4])
+    assert kick_worker._pool is not None
+
+
+def test_nested_run_stays_on_its_thread(monkeypatch, kick_worker):
+    import threading
+    submits = []
+    executor = kick_worker._executor
+    monkeypatch.setattr(kick_worker, "_executor",
+                        lambda: submits.append(1) or executor())
+
+    def name():
+        return threading.current_thread().name
+
+    def nested():
+        return kick_worker.run(name, name) + (name(),)
+
+    for names in kick_worker.run(nested, nested):
+        assert len(set(names)) == 1
+    assert len(submits) == 1

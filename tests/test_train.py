@@ -204,6 +204,39 @@ def test_per_tensor_adamw_matches_reference():
     assert all(np.array_equal(params[k], ref[k]) for k in params)
 
 
+@pytest.fixture
+def one_worker(monkeypatch):
+    """A fresh model worker, on a machine that seems to have two CPUs."""
+    import kickdir.model as model_mod
+    worker = model_mod._KickWorker()
+    monkeypatch.setattr(model_mod, "_KICK_WORKER", worker)
+    monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 2)
+    return worker
+
+
+def test_split_adamw_matches_serial(monkeypatch, one_worker):
+    import kickdir.model as model_mod
+    rng = np.random.default_rng(5)
+    start = {"big": rng.normal(size=11 * ADAMW_BLOCK // 2),
+             "small": rng.normal(size=(3, 4))}
+    grads = [{k: rng.normal(size=a.shape) * 10.0 ** rng.integers(-9, 4)
+              for k, a in start.items()} for _ in range(4)]
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(model_mod, "_usable_cpus", lambda: cpus)
+        params = {k: a.copy() for k, a in start.items()}
+        opt = init_optimizer(params)
+        for step, g in enumerate(grads):
+            adamw_step(params, g, opt, lr_t=1e-3 * (step + 1), wd=5e-2)
+        runs.append((params, opt))
+        assert (one_worker._pool is not None) == (cpus == 2)
+    (p1, o1), (p2, o2) = runs
+    for k in start:
+        assert np.array_equal(p1[k], p2[k])
+        assert np.array_equal(o1.m[k], o2.m[k])
+        assert np.array_equal(o1.v[k], o2.v[k])
+
+
 def test_adamw_rejects_non_contiguous_parameter():
     params = {"w": np.zeros((4, 4))[:, ::2]}
     opt = init_optimizer(params)
@@ -434,3 +467,16 @@ def test_history_text_is_deterministic():
     text = hist.to_text()
     assert "epoch=1" in text and "val_acc=0.75" in text
     assert text == hist.to_text()
+
+
+def test_truncated_zip_checkpoint_closes_its_file(tmp_path):
+    import gc
+    import warnings
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"PK\x03\x04truncated")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError):
+            load_checkpoint(str(path))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
