@@ -206,11 +206,10 @@ def test_per_tensor_adamw_matches_reference():
 
 @pytest.fixture
 def one_worker(monkeypatch):
-    """A fresh model worker, on a machine that seems to have two CPUs."""
+    """A fresh worker as the model's."""
     import kickdir.model as model_mod
     worker = model_mod._KickWorker()
     monkeypatch.setattr(model_mod, "_KICK_WORKER", worker)
-    monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 2)
     return worker
 
 
