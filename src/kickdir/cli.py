@@ -28,7 +28,7 @@ from .data import (
 from .errors import ConfigError, DataError, KickdirError, TrainingDivergedError
 from .metrics import class_names, evaluate as evaluate_model, gk_baseline, \
     mean_report, pool_confusions, ConfusionMatrix, SubgroupStats
-from .model import ALL_BRANCHES, _usable_cpus, normalize_branches
+from .model import ALL_BRANCHES, normalize_branches, usable_cpus
 from .report import (
     build_ablation_kv,
     build_crossval_kv,
@@ -126,7 +126,7 @@ def _worker_count(jobs, folds):
     process may use."""
     if jobs < 1:
         raise ConfigError("--jobs must be at least 1")
-    return min(jobs, folds, _usable_cpus())
+    return min(jobs, folds, usable_cpus())
 
 
 def _run_folds(samples, split, cfg, jobs=1, branches=None, head=None):

@@ -27,16 +27,16 @@ def layer_norm_forward(x, gamma, beta, eps=LN_EPS):
     return gamma * xhat + beta, (xhat, inv, gamma)
 
 
-def layer_norm_backward(cache, dy):
+def layer_norm_backward(cache, dy, dgamma, dbeta):
+    """Returns dx and overwrites dgamma and dbeta."""
     xhat, inv, gamma = cache
     axes = tuple(range(dy.ndim - 1))
-    dgamma = np.sum(dy * xhat, axis=axes)
-    dbeta = np.sum(dy, axis=axes)
+    np.sum(dy * xhat, axis=axes, out=dgamma)
+    np.sum(dy, axis=axes, out=dbeta)
     dxhat = dy * gamma
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dgamma, dbeta
+    return inv * (dxhat - m1 - xhat * m2)
 
 
 def attn_pool_forward(h, w):
@@ -67,15 +67,16 @@ def attn_pool(h, w):
     return (pooled[0], alpha[0]) if squeeze else (pooled, alpha)
 
 
-def attn_pool_backward(cache, dpooled):
+def attn_pool_backward(cache, dpooled, dw):
+    """Returns dh and overwrites dw."""
     h, w, alpha = cache
     dh = alpha[..., None] * dpooled[:, None, :]
     dalpha = np.einsum("bd,btd->bt", dpooled, h)
     # softmax jacobian applied to dalpha
     dscores = alpha * (dalpha - np.sum(alpha * dalpha, axis=-1, keepdims=True))
-    dw = np.einsum("bt,btd->d", dscores, h)
+    np.einsum("bt,btd->d", dscores, h, out=dw)
     dh += dscores[..., None] * w
-    return dh, dw
+    return dh
 
 
 @dataclass
@@ -159,25 +160,21 @@ def encode_branch_forward(x, params, need_cache=True):
                                       pool_cache=pool_cache, params=params)
 
 
-def encode_branch_backward(cache, dpooled):
-    """Returns (dx, grads) with grads keyed proj_w, proj_b, pool_w and
-    layers.<i>.<field> for the stack."""
+def encode_branch_backward(cache, dpooled, grads, prefix=""):
+    """Overwrites grads[prefix + name] for every name branch_param_arrays
+    yields and returns dx."""
     params = cache.params
-    dh, dpool_w = attn_pool_backward(cache.pool_cache, dpooled)
-    grads = {"pool_w": dpool_w}
+    dh = attn_pool_backward(cache.pool_cache, dpooled, grads[prefix + "pool_w"])
     for i in range(len(params.layers) - 1, -1, -1):
         ln_cache, blk_cache = cache.layer_caches[i]
-        dnormed, blk_grads = ssm_layer_backward(blk_cache, dh)
-        for k, v in blk_grads.items():
-            grads[f"layers.{i}.{k}"] = v
-        dres, dgamma, dbeta = layer_norm_backward(ln_cache, dnormed)
-        grads[f"layers.{i}.ln_gamma"] = dgamma
-        grads[f"layers.{i}.ln_beta"] = dbeta
-        dh = dh + dres
-    grads["proj_w"] = weight_grad(dh, cache.x_in)
-    grads["proj_b"] = dh.sum(axis=(0, 1))
-    dx = dh @ params.w_proj
-    return dx, grads
+        layer = f"{prefix}layers.{i}."
+        dnormed = ssm_layer_backward(blk_cache, dh, grads, layer)
+        dh = dh + layer_norm_backward(ln_cache, dnormed,
+                                      grads[layer + "ln_gamma"],
+                                      grads[layer + "ln_beta"])
+    weight_grad(dh, cache.x_in, grads[prefix + "proj_w"])
+    np.sum(dh, axis=(0, 1), out=grads[prefix + "proj_b"])
+    return dh @ params.w_proj
 
 
 def branch_param_arrays(params, prefix=""):

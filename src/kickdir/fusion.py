@@ -82,13 +82,13 @@ def meta_branch_forward(gamma, params):
     return relu(pre), (gamma, pre)
 
 
-def meta_branch_backward(cache, dout, params):
+def meta_branch_backward(cache, dout, grads, prefix=""):
+    """Overwrites grads[prefix + "w_meta"] and grads[prefix + "b_meta"].
+    Metadata is data, not a parameter, so no input gradient is formed."""
     gamma, pre = cache
     dpre = dout * (pre > 0)
-    dw_meta = dpre.T @ gamma
-    db_meta = dpre.sum(axis=0)
-    dgamma = dpre @ params.w_meta
-    return dgamma, {"w_meta": dw_meta, "b_meta": db_meta}
+    np.matmul(dpre.T, gamma, out=grads[prefix + "w_meta"])
+    np.sum(dpre, axis=0, out=grads[prefix + "b_meta"])
 
 
 def batch_norm_forward(x, gamma, beta, running_mean, running_var, mode,
@@ -124,18 +124,17 @@ def batch_norm_forward(x, gamma, beta, running_mean, running_var, mode,
     return gamma * xhat + beta, cache
 
 
-def batch_norm_backward(cache, dy):
+def batch_norm_backward(cache, dy, dgamma, dbeta):
+    """Returns dx and overwrites dgamma and dbeta."""
     xhat, inv, gamma, mode = cache
-    dgamma = np.sum(dy * xhat, axis=0)
-    dbeta = dy.sum(axis=0)
+    np.sum(dy * xhat, axis=0, out=dgamma)
+    np.sum(dy, axis=0, out=dbeta)
     dxhat = dy * gamma
     if mode == "train":
         m = dy.shape[0]
-        dx = inv / m * (m * dxhat - dxhat.sum(axis=0)
-                        - xhat * np.sum(dxhat * xhat, axis=0))
-    else:
-        dx = dxhat * inv
-    return dx, dgamma, dbeta
+        return inv / m * (m * dxhat - dxhat.sum(axis=0)
+                          - xhat * np.sum(dxhat * xhat, axis=0))
+    return dxhat * inv
 
 
 @dataclass
@@ -188,29 +187,27 @@ def fuse_and_classify(t_run, t_kick, t_meta, params, mode="train", rng=None):
     return logits, cache
 
 
-def fusion_backward(cache, dlogits):
-    """Returns (dt_run, dt_kick, dt_meta, grads)."""
+def fusion_backward(cache, dlogits, grads, prefix=""):
+    """Overwrites grads[prefix + name] for every name fusion_param_arrays
+    yields except w_meta and b_meta, which meta_branch_backward writes, and
+    returns (dt_run, dt_kick, dt_meta)."""
     params = cache.params
-    dw_out = dlogits.T @ cache.dropped
-    db_out = dlogits.sum(axis=0)
+    np.matmul(dlogits.T, cache.dropped, out=grads[prefix + "w_out"])
+    np.sum(dlogits, axis=0, out=grads[prefix + "b_out"])
     ddropped = dlogits @ params.w_out
     dpost = ddropped * cache.drop_mask if cache.drop_mask is not None else ddropped
     dnormed = dpost * (cache.post_relu > 0)
-    dpre, dbn_gamma, dbn_beta = batch_norm_backward(cache.bn_cache, dnormed)
+    dpre = batch_norm_backward(cache.bn_cache, dnormed,
+                               grads[prefix + "bn_gamma"],
+                               grads[prefix + "bn_beta"])
     dz = dpre @ params.w_h
-    grads = {
-        "w_h": dpre.T @ cache.z,
-        "b_h": dpre.sum(axis=0),
-        "bn_gamma": dbn_gamma,
-        "bn_beta": dbn_beta,
-        "w_out": dw_out,
-        "b_out": db_out,
-    }
+    np.matmul(dpre.T, cache.z, out=grads[prefix + "w_h"])
+    np.sum(dpre, axis=0, out=grads[prefix + "b_h"])
     d_run, d_kick, d_meta = cache.split
     dt_run = dz[:, :d_run]
     dt_kick = dz[:, d_run:d_run + d_kick] if d_kick else None
     dt_meta = dz[:, d_run + d_kick:] if d_meta else None
-    return dt_run, dt_kick, dt_meta, grads
+    return dt_run, dt_kick, dt_meta
 
 
 def fusion_param_arrays(params, prefix=""):

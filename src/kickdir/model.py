@@ -4,7 +4,10 @@ serialization, plus branch masking for ablation studies.
 
 Parameters and the batch-norm buffers each live in one contiguous float64
 vector (a FlatBuffer); every named array of the dataclasses is a reshaped
-view into it. Gradients fill a FlatBuffer with the parameters' layout.
+view into it. Gradients fill a FlatBuffer with the parameters' layout:
+each layer's backward takes (cache, d_out, grads, prefix), overwrites the
+views grads[prefix + name] of the tensors it owns and returns only its
+input gradient.
 
 The process has one persistent worker thread, which takes a share of
 independent tasks while the calling thread takes the rest (numpy releases
@@ -236,7 +239,7 @@ def scan_elements_per_sample(bundle, seq_len):
     return seq_len * ssm.channels * ssm.state_size
 
 
-def _usable_cpus():
+def usable_cpus():
     """CPUs this process may run on: its affinity mask where the platform
     has one, else every CPU."""
     try:
@@ -251,10 +254,10 @@ def _threaded(bundle, run_x, kick_x):
     two CPUs."""
     seq_len = max(run_x.shape[1], kick_x.shape[1])
     return len(run_x) * scan_elements_per_sample(bundle, seq_len) \
-        >= THREAD_MIN_ELEMENTS and _usable_cpus() >= 2
+        >= THREAD_MIN_ELEMENTS and usable_cpus() >= 2
 
 
-class _KickWorker:
+class Worker:
     """At most one persistent thread per process, started on first use,
     that takes a share of the independent tasks handed to run."""
 
@@ -314,8 +317,8 @@ class _KickWorker:
         return tuple(results)
 
 
-_KICK_WORKER = _KickWorker()
-os.register_at_fork(after_in_child=_KICK_WORKER._reset)
+WORKER = Worker()
+os.register_at_fork(after_in_child=WORKER._reset)
 
 
 @dataclass
@@ -346,7 +349,7 @@ def model_forward(bundle, run_x, kick_x, gamma, mode="train", rng=None,
     in_head = bundle.head_branches
     run_cache = kick_cache = meta_cache = None
     if {"run", "kick"} <= branches and _threaded(bundle, run_x, kick_x):
-        (t_run, run_cache), (t_kick, kick_cache) = _KICK_WORKER.run(
+        (t_run, run_cache), (t_kick, kick_cache) = WORKER.run(
             lambda: encode_branch_forward(run_x, bundle.run_enc, train),
             lambda: encode_branch_forward(kick_x, bundle.kick_enc, train))
     else:
@@ -377,55 +380,32 @@ def model_forward(bundle, run_x, kick_x, gamma, mode="train", rng=None,
     return logits, cache
 
 
-def _encoder_grads(group, branch_cache, dpooled):
-    """One encoder's gradients by full parameter name; none when masked."""
-    if branch_cache is None:
-        return {}
-    _, grads = encode_branch_backward(branch_cache, dpooled)
-    return {f"{group}.{k}": v for k, v in grads.items()}
-
-
-def _copy_grads(grads, parts, prefix=""):
-    """Write parts (name -> array) into the views of grads whose names start
-    with prefix; such a view with no part gets zeros."""
-    cut = len(prefix)
-    for name, view in grads.views.items():
-        if name[:cut] == prefix:
-            part = parts.get(name)
-            if part is None:
-                view.fill(0.0)
-            else:
-                view[...] = part
-
-
 def model_backward(bundle, cache, dlogits, grads=None):
     """Fills grads, a FlatBuffer in the layout of bundle.params (a new one
     by default), with the gradient of every learnable tensor and returns
     it; masked branches get zeros."""
-    dt_run, dt_kick, dt_meta, fusion_grads = fusion_backward(
-        cache.fusion_cache, dlogits)
-    parts = {f"fusion.{k}": v for k, v in fusion_grads.items()}
-    if cache.meta_cache is not None:
-        _, meta_grads = meta_branch_backward(cache.meta_cache, dt_meta,
-                                             bundle.fusion)
-        for k, v in meta_grads.items():
-            parts[f"fusion.{k}"] = v
     if grads is None:
         grads = bundle.params.like()
-    run_cache, kick_cache = cache.run_cache, cache.kick_cache
+    run_cache, kick_cache, meta_cache = \
+        cache.run_cache, cache.kick_cache, cache.meta_cache
+    if any(c is None for c in (run_cache, kick_cache, meta_cache)):
+        grads.vector.fill(0.0)  # no backward writes a masked branch's views
+    dt_run, dt_kick, dt_meta = fusion_backward(cache.fusion_cache, dlogits,
+                                               grads, "fusion.")
+    if meta_cache is not None:
+        meta_branch_backward(meta_cache, dt_meta, grads, "fusion.")
     if run_cache is not None and kick_cache is not None \
             and _threaded(bundle, run_cache.x_in, kick_cache.x_in):
-        # Each branch writes its own views on the thread that computed them.
-        _copy_grads(grads, parts, "fusion.")
-        _KICK_WORKER.run(
-            lambda: _copy_grads(grads, _encoder_grads(
-                "run_enc", run_cache, dt_run), "run_enc."),
-            lambda: _copy_grads(grads, _encoder_grads(
-                "kick_enc", kick_cache, dt_kick), "kick_enc."))
+        WORKER.run(
+            lambda: encode_branch_backward(run_cache, dt_run, grads,
+                                           "run_enc."),
+            lambda: encode_branch_backward(kick_cache, dt_kick, grads,
+                                           "kick_enc."))
     else:
-        parts.update(_encoder_grads("run_enc", run_cache, dt_run))
-        parts.update(_encoder_grads("kick_enc", kick_cache, dt_kick))
-        _copy_grads(grads, parts)
+        if run_cache is not None:
+            encode_branch_backward(run_cache, dt_run, grads, "run_enc.")
+        if kick_cache is not None:
+            encode_branch_backward(kick_cache, dt_kick, grads, "kick_enc.")
     return grads
 
 
@@ -462,8 +442,8 @@ def predict_logits(bundle, samples, branches=None):
     step = eval_chunk_size(bundle, seq_len)
     tasks = [partial(_score_chunk, bundle, samples[i:i + step], branches,
                      out[i:i + step]) for i in range(0, len(samples), step)]
-    if len(tasks) > 1 and _usable_cpus() >= 2:
-        _KICK_WORKER.run(*tasks)
+    if len(tasks) > 1 and usable_cpus() >= 2:
+        WORKER.run(*tasks)
     else:
         for task in tasks:
             task()

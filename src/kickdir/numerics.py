@@ -52,7 +52,9 @@ def require_finite(name, *arrays):
             raise ValueError(f"{name}: non-finite values in input")
 
 
-def weight_grad(dout, inp):
+def weight_grad(dout, inp, out=None):
     """Gradient of a linear map's weight: the outer products dout_t inp_t^T
-    summed over every leading axis, as one matrix product."""
-    return dout.reshape(-1, dout.shape[-1]).T @ inp.reshape(-1, inp.shape[-1])
+    summed over every leading axis, as one matrix product written to out
+    (a new array by default)."""
+    return np.matmul(dout.reshape(-1, dout.shape[-1]).T,
+                     inp.reshape(-1, inp.shape[-1]), out=out)

@@ -78,6 +78,13 @@ def init_ssm_params(channels, state_size, rng, delta_range=(0.001, 0.1)):
     )
 
 
+def ssm_param_arrays(params, prefix=""):
+    """Yield (name, array) pairs for every learnable tensor of the core."""
+    for field in ("a_log", "skip_d", "w_delta", "b_delta", "w_b", "b_b",
+                  "w_c", "b_c"):
+        yield prefix + field, getattr(params, field)
+
+
 def discretize_zoh(a, b, delta):
     """Zero-order-hold discretization of the diagonal system (a, b).
 
@@ -209,11 +216,12 @@ def scan_parallel(x, params):
     return y[0] if squeeze else y
 
 
-def scan_backward(cache, dy):
+def scan_backward(cache, dy, grads, prefix=""):
     """Reverse-mode gradients of _scan_forward.
 
-    Returns (dx, grads) where grads maps SsmParams field names to arrays.
-    State gradients propagate right-to-left: ds_{t-1} += a_bar_t * ds_t.
+    Overwrites grads[prefix + name] for every name ssm_param_arrays yields
+    and returns dx. State gradients propagate right-to-left:
+    ds_{t-1} += a_bar_t * ds_t.
     """
     p = cache.params
     x, b, delta, hs, a_bar = cache.x, cache.b, cache.delta, cache.hs, cache.a_bar
@@ -221,7 +229,7 @@ def scan_backward(cache, dy):
     a = -np.exp(p.a_log)
     delta_e = delta[..., None]
 
-    d_skip = np.einsum("bth,bth->h", dy, x)
+    np.einsum("bth,bth->h", dy, x, out=grads[prefix + "skip_d"])
     dx = dy * p.skip_d
     dc = np.einsum("bth,bthn->btn", dy, hs)
 
@@ -239,7 +247,8 @@ def scan_backward(cache, dy):
     g *= hs[:, :-1]
     ddelta = np.zeros_like(delta)
     ddelta[:, 1:] = np.einsum("bthn,hn->bth", g, a)
-    da = np.einsum("bthn,bth->hn", g, delta[:, 1:])
+    da_log = grads[prefix + "a_log"]  # holds d/da until the last step
+    np.einsum("bthn,bth->hn", g, delta[:, 1:], out=da_log)
 
     # through u = phi * b * x; g is spent, work holds one product at a time
     phi = np.multiply(delta_e, a)
@@ -257,19 +266,17 @@ def scan_backward(cache, dy):
     np.multiply(delta_e, a_bar, out=work)
     work -= phi
     np.copyto(work, 0.0, where=small)
-    da += np.einsum("bthn,bthn->hn", dphi, work) / a
-    da_log = da * a  # a = -exp(a_log)
+    da_log += np.einsum("bthn,bthn->hn", dphi, work) / a
+    da_log *= a  # a = -exp(a_log)
 
     dpre = ddelta * sigmoid(cache.pre)
     dx += dpre @ p.w_delta
     dx += db @ p.w_b
     dx += dc @ p.w_c
-
-    grads = {"a_log": da_log, "skip_d": d_skip,
-             "w_delta": weight_grad(dpre, x), "b_delta": dpre.sum(axis=(0, 1)),
-             "w_b": weight_grad(db, x), "b_b": db.sum(axis=(0, 1)),
-             "w_c": weight_grad(dc, x), "b_c": dc.sum(axis=(0, 1))}
-    return dx, grads
+    for name, d in (("delta", dpre), ("b", db), ("c", dc)):
+        weight_grad(d, x, grads[f"{prefix}w_{name}"])
+        np.sum(d, axis=(0, 1), out=grads[f"{prefix}b_{name}"])
+    return dx
 
 
 @dataclass
@@ -322,14 +329,19 @@ def _causal_conv(u, conv_w, conv_b):
     return out
 
 
-def _causal_conv_backward(dout, u, conv_w):
+def _causal_conv_backward(dout, u, conv_w, dconv_w, dconv_b):
+    """Returns du and overwrites dconv_w and dconv_b. A kernel column
+    j >= T never meets an input, so its gradient is zero."""
     t_len = u.shape[1]
+    taps = min(conv_w.shape[1], t_len)
     du = np.zeros_like(u)
-    dconv_w = np.zeros_like(conv_w)
-    for j in range(min(conv_w.shape[1], t_len)):
-        dconv_w[:, j] = np.einsum("bth,bth->h", dout[:, j:], u[:, :t_len - j])
+    for j in range(taps):
+        np.einsum("bth,bth->h", dout[:, j:], u[:, :t_len - j],
+                  out=dconv_w[:, j])
         du[:, :t_len - j] += conv_w[:, j] * dout[:, j:]
-    return du, dconv_w, dout.sum(axis=(0, 1))
+    dconv_w[:, taps:] = 0.0
+    np.sum(dout, axis=(0, 1), out=dconv_b)
+    return du
 
 
 @dataclass
@@ -361,11 +373,11 @@ def ssm_layer_forward(x, layer, need_cache=True):
     return y, cache
 
 
-def ssm_layer_backward(cache, dy):
+def ssm_layer_backward(cache, dy, grads, prefix=""):
     """Reverse-mode gradients of ssm_layer_forward.
 
-    Returns (dx, grads); grads keys mirror SsmLayerParams, with the core's
-    gradients nested under "ssm.<field>".
+    Overwrites grads[prefix + name] for every name ssm_layer_param_arrays
+    yields and returns dx.
     """
     layer = cache.layer
     dy = np.asarray(dy, dtype=np.float64)
@@ -373,34 +385,26 @@ def ssm_layer_backward(cache, dy):
         raise ValueError("ssm_layer_backward: dy shape does not match forward input")
 
     dgated = dy @ layer.w_out
-    dw_out = weight_grad(dy, cache.gate * cache.scan_y)
-    db_out = dy.sum(axis=(0, 1))
+    weight_grad(dy, cache.gate * cache.scan_y, grads[prefix + "w_out"])
+    np.sum(dy, axis=(0, 1), out=grads[prefix + "b_out"])
 
     dgate = dgated * cache.scan_y
     dscan_y = dgated * cache.gate
     dgpre = dgate * cache.gate * (1.0 - cache.gate)
     dx = dgpre @ layer.w_gate
-    dw_gate = weight_grad(dgpre, cache.x)
-    db_gate = dgpre.sum(axis=(0, 1))
+    weight_grad(dgpre, cache.x, grads[prefix + "w_gate"])
+    np.sum(dgpre, axis=(0, 1), out=grads[prefix + "b_gate"])
 
-    dxc, ssm_grads = scan_backward(cache.scan_cache, dscan_y)
-    grads = {f"ssm.{k}": v for k, v in ssm_grads.items()}
-
+    du = scan_backward(cache.scan_cache, dscan_y, grads, prefix + "ssm.")
     if layer.conv_w is not None:
-        du, dconv_w, dconv_b = _causal_conv_backward(dxc, cache.u, layer.conv_w)
-        grads["conv_w"] = dconv_w
-        grads["conv_b"] = dconv_b
-    else:
-        du = dxc
+        du = _causal_conv_backward(du, cache.u, layer.conv_w,
+                                   grads[prefix + "conv_w"],
+                                   grads[prefix + "conv_b"])
 
     dx += du @ layer.w_in
-    grads["w_in"] = weight_grad(du, cache.x)
-    grads["b_in"] = du.sum(axis=(0, 1))
-    grads["w_out"] = dw_out
-    grads["b_out"] = db_out
-    grads["w_gate"] = dw_gate
-    grads["b_gate"] = db_gate
-    return dx, grads
+    weight_grad(du, cache.x, grads[prefix + "w_in"])
+    np.sum(du, axis=(0, 1), out=grads[prefix + "b_in"])
+    return dx
 
 
 def ssm_layer_param_arrays(layer, prefix=""):
@@ -409,8 +413,6 @@ def ssm_layer_param_arrays(layer, prefix=""):
         arr = getattr(layer, field)
         if arr is not None:
             yield prefix + field, arr
-    for field in ("a_log", "skip_d", "w_delta", "b_delta", "w_b", "b_b",
-                  "w_c", "b_c"):
-        yield f"{prefix}ssm.{field}", getattr(layer.ssm, field)
+    yield from ssm_param_arrays(layer.ssm, prefix + "ssm.")
     yield prefix + "w_out", layer.w_out
     yield prefix + "b_out", layer.b_out

@@ -113,13 +113,13 @@ def adamw_step(params, grads, state, lr_t, wd=5e-2):
             raise ValueError(f"{name} or its moments are not C-contiguous")
         flat = tuple(a.reshape(-1) for a in (theta, g, m, v))
         blocks = -(-theta.size // ADAMW_BLOCK)
-        split = blocks > 1 and model._usable_cpus() > 1
+        split = blocks > 1 and model.usable_cpus() > 1
         rows = 4 if split else 2
         if state.scratch is None or len(state.scratch) < rows:
             state.scratch = np.empty((rows, ADAMW_BLOCK))
         if split:
             mid = (blocks - blocks // 2) * ADAMW_BLOCK
-            model._KICK_WORKER.run(
+            model.WORKER.run(
                 partial(_adamw_blocks, flat, 0, mid, state.scratch[:2], coef),
                 partial(_adamw_blocks, flat, mid, theta.size,
                         state.scratch[2:], coef))

@@ -445,15 +445,15 @@ def test_crossval_jobs_after_threaded_steps(tmp_path, monkeypatch):
     import multiprocessing
     import kickdir.model as model_mod
     # Every step takes the threaded path, so the serial run below leaves the
-    # kick worker thread running in this process before --jobs forks, and
+    # worker thread running in this process before --jobs forks, and
     # each pool worker then starts a worker thread of its own.
     monkeypatch.setattr(model_mod, "THREAD_MIN_ELEMENTS", 0)
-    monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(model_mod, "usable_cpus", lambda: 2)
     data = make_dataset(tmp_path, samples=60, seed=5)
     cfg = make_config(tmp_path, max_epochs=2)
     argv = ["crossval", "--data", str(data), "--config", str(cfg)]
     assert main(argv + ["--out-dir", str(tmp_path / "serial")]) == EXIT_OK
-    assert model_mod._KICK_WORKER._pool is not None
+    assert model_mod.WORKER._pool is not None
     child = multiprocessing.get_context("fork").Process(
         target=_crossval_in_child,
         args=(argv + ["--out-dir", str(tmp_path / "parallel"),

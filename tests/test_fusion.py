@@ -148,16 +148,15 @@ def test_fusion_gradients():
     t_meta, meta_cache = meta_branch_forward(gamma, head)
     _, cache = fuse_and_classify(t_run, t_kick, t_meta, head, mode="train",
                                  rng=np.random.default_rng(999))
-    dt_run, dt_kick, dt_meta, grads = fusion_backward(cache, r)
-    _, meta_grads = meta_branch_backward(meta_cache, dt_meta, head)
-    grads.update(meta_grads)
+    grads = {n: np.full_like(a, np.nan) for n, a in fusion_param_arrays(head)}
+    dt_run, dt_kick, dt_meta = fusion_backward(cache, r, grads)
+    meta_branch_backward(meta_cache, dt_meta, grads)
 
     assert max_rel_error(dt_run, numerical_grad(lambda v: loss(tr=v), t_run,
                                                 eps=1e-5)) < 1e-4
     assert max_rel_error(dt_kick, numerical_grad(lambda v: loss(tk=v), t_kick,
                                                  eps=1e-5)) < 1e-4
     names = dict(fusion_param_arrays(head))
-    assert set(names) == set(grads)
     for name, arr in names.items():
         num = numerical_grad(lambda _: loss(), arr, eps=1e-5)
         err = max_rel_error(grads[name], num)

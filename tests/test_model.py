@@ -394,9 +394,9 @@ def kick_worker(monkeypatch):
     """A fresh worker as the model's, on a machine that seems to have two
     usable CPUs; _force_path picks the path."""
     import kickdir.model as model_mod
-    worker = model_mod._KickWorker()
-    monkeypatch.setattr(model_mod, "_KICK_WORKER", worker)
-    monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 2)
+    worker = model_mod.Worker()
+    monkeypatch.setattr(model_mod, "WORKER", worker)
+    monkeypatch.setattr(model_mod, "usable_cpus", lambda: 2)
     return worker
 
 
@@ -406,7 +406,7 @@ def _force_path(monkeypatch, threaded):
     eval chunk or by AdamW block."""
     import kickdir.model as model_mod
     monkeypatch.setattr(model_mod, "THREAD_MIN_ELEMENTS", 0)
-    monkeypatch.setattr(model_mod, "_usable_cpus",
+    monkeypatch.setattr(model_mod, "usable_cpus",
                         lambda: 2 if threaded else 1)
 
 
@@ -466,6 +466,37 @@ def test_threaded_backward_clears_stale_gradients(monkeypatch, kick_worker):
         vectors.append(buf.vector.copy())
     assert kick_worker._pool is not None
     assert np.array_equal(*vectors)
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+def test_backward_writes_every_view(monkeypatch, kick_worker, threaded):
+    # Each backward overwrites the views it owns: an element it missed would
+    # keep the NaN planted here. T=2 is shorter than conv_width=3, so the
+    # kernel columns j >= T get no products and must still come out zero.
+    _force_path(monkeypatch, threaded)
+    rng = np.random.default_rng(35)
+    cfg = unit_loss_config(3)
+    heads = ((None, (ALL_BRANCHES, {"run"}, {"run", "kick"})),
+             ({"run", "meta"}, ({"run", "meta"}, {"run"})))
+    for use_conv, n_r, n_k in ((True, 3, 2), (False, 3, 2), (True, 2, 2)):
+        run_x, kick_x, gamma, labels = make_batch(rng, n_r=n_r, n_k=n_k)
+        for head, branch_sets in heads:
+            bundle = build_model(4, 3, small_config(use_conv=use_conv),
+                                 np.random.default_rng(36), head_branches=head)
+            for branches in branch_sets:
+                logits, cache = model_forward(bundle, run_x, kick_x, gamma,
+                                              mode="train",
+                                              rng=np.random.default_rng(0),
+                                              branches=branches)
+                dlogits = loss_backward(logits, labels, cfg)
+                zero = model_backward(bundle, cache, dlogits)
+                buf = bundle.params.like()
+                buf.vector.fill(np.nan)
+                model_backward(bundle, cache, dlogits, buf)
+                case = (use_conv, n_r, head, sorted(branches))
+                assert np.isfinite(buf.vector).all(), case
+                assert np.array_equal(buf.vector, zero.vector), case
+    assert (kick_worker._pool is not None) == threaded
 
 
 def test_small_shapes_never_start_the_worker(kick_worker):
@@ -580,13 +611,13 @@ def test_forked_child_starts_its_own_worker(monkeypatch):
     import multiprocessing
     import kickdir.model as model_mod
     # The model's own worker: the fork hook is registered for it.
-    monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(model_mod, "usable_cpus", lambda: 2)
     _force_path(monkeypatch, threaded=True)
     bundle = build_model(16, 3, TrainConfig(), np.random.default_rng(19))
     run_x, kick_x, gamma, _ = make_batch(np.random.default_rng(20), batch=30,
                                          n_r=5, n_k=3, d=16)
     expected, _ = model_forward(bundle, run_x, kick_x, gamma, mode="eval")
-    assert model_mod._KICK_WORKER._pool is not None
+    assert model_mod.WORKER._pool is not None
     child = multiprocessing.get_context("fork").Process(
         target=_threaded_logits_in_child,
         args=(bundle, run_x, kick_x, gamma, expected))

@@ -21,7 +21,14 @@ from kickdir.ssm import (
     scan_recurrent,
     ssm_layer_backward,
     ssm_layer_forward,
+    ssm_layer_param_arrays,
+    ssm_param_arrays,
 )
+
+
+def nan_grads(arrays):
+    """A gradient mapping for a backward to fill; NaN shows a missed element."""
+    return {name: np.full_like(arr, np.nan) for name, arr in arrays}
 
 
 def constant_params(a_log=0.0, b=1.0, c=1.0, d=0.0):
@@ -194,7 +201,8 @@ def test_scan_backward_matches_finite_differences():
     x = rng.normal(size=(2, 5, 3))
     r = rng.normal(size=(2, 5, 3))
     y, cache = _scan_forward(x, params)
-    dx, grads = scan_backward(cache, r)
+    grads = nan_grads(ssm_param_arrays(params))
+    dx = scan_backward(cache, r, grads)
 
     # eps balances central-difference truncation against roundoff from the
     # loss magnitude; entries here are small so roundoff dominates below 1e-4
@@ -220,7 +228,8 @@ def test_scan_backward_limit_branch_gradient():
     _, cache = _scan_forward(x, params)
     small = np.abs(cache.delta[..., None] * -np.exp(params.a_log)) < ZOH_LIMIT
     assert small.any() and not small.all()
-    dx, grads = scan_backward(cache, r)
+    grads = nan_grads(ssm_param_arrays(params))
+    dx = scan_backward(cache, r, grads)
     assert max_rel_error(
         dx, numerical_grad(lambda v: scan_loss(v, params, r), x, eps=1e-4)) < 1e-5
     num = numerical_grad(lambda _: scan_loss(x, params, r), params.b_delta, eps=1e-4)
@@ -305,7 +314,8 @@ def test_lean_scan_matches_parent_formulas():
         assert np.array_equal(cache.a_bar, parts[4]), t_len
         assert np.array_equal(cache.hs, parts[5]), t_len
         dx_ref, grads_ref = reference_scan_backward(x, params, parts, dy)
-        dx, grads = scan_backward(cache, dy)
+        grads = nan_grads(ssm_param_arrays(params))
+        dx = scan_backward(cache, dy, grads)
         assert np.array_equal(dx, dx_ref), t_len
         assert grads.keys() == grads_ref.keys()
         for name, ref in grads_ref.items():
@@ -346,7 +356,8 @@ def test_scan_allocations_stay_in_place():
     layer = init_ssm_layer(d_model, state, rng)
     x = rng.normal(size=(batch, t_len, d_model))
     dy = rng.normal(size=(batch, t_len, d_model))
-    ssm_layer_backward(ssm_layer_forward(x, layer)[1], dy)  # warm up
+    grads = nan_grads(ssm_layer_param_arrays(layer))
+    ssm_layer_backward(ssm_layer_forward(x, layer)[1], dy, grads)  # warm up
 
     def peak(fn):
         tracemalloc.start()
@@ -359,7 +370,8 @@ def test_scan_allocations_stay_in_place():
     for need_cache in (True, False):
         fwd = peak(lambda: ssm_layer_forward(x, layer, need_cache=need_cache))
         assert fwd <= 3.0, (need_cache, fwd)
-    both = peak(lambda: ssm_layer_backward(ssm_layer_forward(x, layer)[1], dy))
+    both = peak(lambda: ssm_layer_backward(ssm_layer_forward(x, layer)[1], dy,
+                                           grads))
     assert both <= 7.0, both
 
 
@@ -377,12 +389,11 @@ def test_layer_backward_matches_finite_differences(use_conv, t_len):
     x = rng.normal(size=(2, t_len, 3))
     r = rng.normal(size=(2, t_len, 3))
     _, cache = ssm_layer_forward(x, layer)
-    dx, grads = ssm_layer_backward(cache, r)
+    grads = nan_grads(ssm_layer_param_arrays(layer))
+    dx = ssm_layer_backward(cache, r, grads)
 
     num_dx = numerical_grad(lambda v: layer_loss(v, layer, r), x, eps=1e-4)
     assert max_rel_error(dx, num_dx) < 1e-5
-
-    from kickdir.ssm import ssm_layer_param_arrays
 
     for name, arr in ssm_layer_param_arrays(layer):
         num = numerical_grad(lambda _: layer_loss(x, layer, r), arr, eps=1e-4)

@@ -208,8 +208,8 @@ def test_per_tensor_adamw_matches_reference():
 def one_worker(monkeypatch):
     """A fresh worker as the model's."""
     import kickdir.model as model_mod
-    worker = model_mod._KickWorker()
-    monkeypatch.setattr(model_mod, "_KICK_WORKER", worker)
+    worker = model_mod.Worker()
+    monkeypatch.setattr(model_mod, "WORKER", worker)
     return worker
 
 
@@ -222,7 +222,7 @@ def test_split_adamw_matches_serial(monkeypatch, one_worker):
               for k, a in start.items()} for _ in range(4)]
     runs = []
     for cpus in (1, 2):
-        monkeypatch.setattr(model_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(model_mod, "usable_cpus", lambda: cpus)
         params = {k: a.copy() for k, a in start.items()}
         opt = init_optimizer(params)
         for step, g in enumerate(grads):
