@@ -5,7 +5,8 @@ branch ablation, and report rendering.
 Every command is deterministic given its flags plus the config seed, and
 failures map to distinct exit codes: 2 for configuration problems (shared
 with argparse usage errors), 3 for dataset problems, 4 for training
-divergence. Input dataset files are never modified.
+divergence, 1 for any other package error or running out of memory. Each
+failure is one line on stderr. Input dataset files are never modified.
 """
 
 import argparse
@@ -63,10 +64,17 @@ def _load_config(path_flag):
     path = path_flag or os.environ.get(CONFIG_ENV)
     if path is None:
         return TrainConfig()
+    return TrainConfig.load(path)
+
+
+def _make_run_dir(path):
+    """Create the directory path and its parents, as atomic_write writes a
+    file: an OSError becomes a DataError."""
     try:
-        return TrainConfig.load(path)
+        os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        raise DataError(
+            f"cannot create {str(path)!r}: {exc.strerror or exc}") from exc
 
 
 def _write_text(path, text):
@@ -114,9 +122,10 @@ def _parse_branch_rows(values):
 def _fold_task(task):
     """One fold end to end; module-level so process pools can pickle it."""
     fold, train_samples, val_samples, cfg, branches, head = task
-    bundle, opt, history = train_fold(train_samples, val_samples, cfg,
-                                      fold=fold, branches=branches,
-                                      head_branches=head)
+    with np.errstate(all="ignore"):  # divergence is reported, not warned
+        bundle, opt, history = train_fold(train_samples, val_samples, cfg,
+                                          fold=fold, branches=branches,
+                                          head_branches=head)
     cm, report = evaluate_model(bundle, val_samples, branches=branches)
     return fold, bundle, opt, history, cm, report
 
@@ -173,8 +182,9 @@ def cmd_train(args):
     if not 0 <= args.fold < split.k:
         raise ConfigError(f"--fold must be in [0, {split.k})")
     train_samples, val_samples = split.split(samples, args.fold)
-    bundle, opt, history = train_fold(train_samples, val_samples, cfg,
-                                      fold=args.fold)
+    with np.errstate(all="ignore"):  # divergence is reported, not warned
+        bundle, opt, history = train_fold(train_samples, val_samples, cfg,
+                                          fold=args.fold)
     save_checkpoint(args.out, bundle, opt, history, cfg)
     print(f"fold {args.fold}: best val accuracy {history.best_val_acc:.4f} "
           f"at epoch {history.best_epoch} "
@@ -219,7 +229,7 @@ def cmd_crossval(args):
         gk_report = gk_baseline(samples, n_classes=n_classes)
 
     folds_dir = os.path.join(args.out_dir, "folds")
-    os.makedirs(folds_dir, exist_ok=True)
+    _make_run_dir(folds_dir)
     _write_text(os.path.join(args.out_dir, "config.txt"), cfg.to_text())
 
     results = _run_folds(samples, split, cfg, jobs=jobs)
@@ -281,7 +291,7 @@ def cmd_ablate(args):
         [metric_row(label, rep) for label, rep in table_rows])
     print(table, end="")
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
+        _make_run_dir(args.out_dir)
         _write_text(os.path.join(args.out_dir, "ablation.txt"), table)
         _write_text(os.path.join(args.out_dir, "ablation.kv"),
                     render_kv(build_ablation_kv(table_rows)))
@@ -366,7 +376,7 @@ def _read_kv_file(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             return parse_kv(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from exc
 
 
@@ -380,7 +390,7 @@ def cmd_report(args):
             f"incomplete run directory {args.run_dir!r}: neither metrics.kv "
             f"nor ablation.kv is present")
     report_dir = os.path.join(args.run_dir, "report")
-    os.makedirs(report_dir, exist_ok=True)
+    _make_run_dir(report_dir)
 
     if args.format == "svg":
         if not have_metrics:
@@ -495,6 +505,9 @@ def main(argv=None):
         return EXIT_DATA
     except KickdirError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_FAILURE
 
 

@@ -4,6 +4,7 @@ key=value text representation so runs are reproducible from a single file.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .augment import AugmentConfig
@@ -57,6 +58,10 @@ class TrainConfig:
         self.validate()
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            if f.type in (float, "float") and \
+                    not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         checks = [
             (self.batch_size >= 2, "batch_size must be at least 2 (batch "
                                    "normalization needs two samples)"),
@@ -157,5 +162,5 @@ class TrainConfig:
         try:
             with open(path, "r", encoding="ascii") as fh:
                 return cls.from_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -73,11 +73,8 @@ def init_fusion(branch_width, n_classes, rng, meta_dim=16, hidden=128,
 def meta_branch_forward(gamma, params):
     """Embed the two metadata bits (given as floats): relu of an affine map.
 
-    gamma: (B, 2) -> (t_meta (B, M), cache).
+    gamma: float64 (B, 2) -> (t_meta (B, M), cache).
     """
-    gamma = np.asarray(gamma, dtype=np.float64)
-    if gamma.ndim != 2 or gamma.shape[1] != params.w_meta.shape[1]:
-        raise ValueError("meta_branch_forward: expected (B, 2) metadata")
     pre = gamma @ params.w_meta.T + params.b_meta
     return relu(pre), (gamma, pre)
 
@@ -98,7 +95,7 @@ def batch_norm_forward(x, gamma, beta, running_mean, running_var, mode,
     Train mode normalizes with biased batch statistics and folds them into
     the running buffers (variance stored unbiased); a single-sample batch is
     rejected because the unbiased estimate is undefined. Eval mode uses the
-    running buffers only and never mutates them.
+    running buffers only, never mutates them and returns no cache.
     """
     if mode == "train":
         m = x.shape[0]
@@ -114,27 +111,24 @@ def batch_norm_forward(x, gamma, beta, running_mean, running_var, mode,
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * var * m / (m - 1)
-        cache = (xhat, inv, gamma, mode)
-    elif mode == "eval":
+        cache = (xhat, inv, gamma)
+    else:
         inv = 1.0 / np.sqrt(running_var + eps)
         xhat = (x - running_mean) * inv
-        cache = (xhat, inv, gamma, mode)
-    else:
-        raise ValueError(f"batch_norm_forward: unknown mode {mode!r}")
+        cache = None
     return gamma * xhat + beta, cache
 
 
 def batch_norm_backward(cache, dy, dgamma, dbeta):
-    """Returns dx and overwrites dgamma and dbeta."""
-    xhat, inv, gamma, mode = cache
+    """Backward of a train-mode batch_norm_forward: returns dx and
+    overwrites dgamma and dbeta."""
+    xhat, inv, gamma = cache
     np.sum(dy * xhat, axis=0, out=dgamma)
     np.sum(dy, axis=0, out=dbeta)
     dxhat = dy * gamma
-    if mode == "train":
-        m = dy.shape[0]
-        return inv / m * (m * dxhat - dxhat.sum(axis=0)
-                          - xhat * np.sum(dxhat * xhat, axis=0))
-    return dxhat * inv
+    m = dy.shape[0]
+    return inv / m * (m * dxhat - dxhat.sum(axis=0)
+                      - xhat * np.sum(dxhat * xhat, axis=0))
 
 
 @dataclass
@@ -155,14 +149,12 @@ def fuse_and_classify(t_run, t_kick, t_meta, params, mode="train", rng=None):
     buffers) and dropout needs an rng; eval mode is deterministic.
     t_kick / t_meta may be None when the head was built without that
     segment; the backward pass then returns None in their place.
-    Returns (logits (B, n), cache).
+    Returns (logits (B, n), cache); cache is None in eval mode.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"fuse_and_classify: unknown mode {mode!r}")
     segments = [t for t in (t_run, t_kick, t_meta) if t is not None]
     z = np.concatenate(segments, axis=1)
-    if z.shape[1] != params.w_h.shape[1]:
-        raise ValueError("fuse_and_classify: concatenated width mismatch")
     pre = z @ params.w_h.T + params.b_h
     normed, bn_cache = batch_norm_forward(
         pre, params.bn_gamma, params.bn_beta,
@@ -178,6 +170,8 @@ def fuse_and_classify(t_run, t_kick, t_meta, params, mode="train", rng=None):
         drop_mask = (rng.random(post.shape) < keep) / keep
         dropped = post * drop_mask
     logits = dropped @ params.w_out.T + params.b_out
+    if mode == "eval":
+        return logits, None
     cache = FusionCache(z=z, bn_cache=bn_cache,
                         post_relu=post, drop_mask=drop_mask, dropped=dropped,
                         params=params,

@@ -380,10 +380,6 @@ def ssm_layer_backward(cache, dy, grads, prefix=""):
     yields and returns dx.
     """
     layer = cache.layer
-    dy = np.asarray(dy, dtype=np.float64)
-    if dy.shape != cache.x.shape:
-        raise ValueError("ssm_layer_backward: dy shape does not match forward input")
-
     dgated = dy @ layer.w_out
     weight_grad(dy, cache.gate * cache.scan_y, grads[prefix + "w_out"])
     np.sum(dy, axis=(0, 1), out=grads[prefix + "b_out"])

@@ -106,8 +106,6 @@ def adamw_step(params, grads, state, lr_t, wd=5e-2):
             lr_t, wd)
     for name, theta in params.items():
         g = grads[name]
-        if g.shape != theta.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
         m, v = state.m[name], state.v[name]
         if not all(a.flags.c_contiguous for a in (theta, m, v)):
             raise ValueError(f"{name} or its moments are not C-contiguous")
@@ -196,9 +194,18 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def _evaluate_loss_acc(bundle, samples, loss_cfg, branches=None):
-    """Eval-mode loss and accuracy over a sample list."""
+def _require_finite_logits(logits, step):
+    """Inputs are checked finite before training starts, so a non-finite
+    logit means the parameters have diverged."""
+    if not np.isfinite(logits).all():
+        raise TrainingDivergedError("non-finite logits", step=step)
+
+
+def _evaluate_loss_acc(bundle, samples, loss_cfg, branches=None, step=None):
+    """Eval-mode loss and accuracy over a sample list. Non-finite logits
+    raise TrainingDivergedError at `step`."""
     logits = predict_logits(bundle, samples, branches=branches)
+    _require_finite_logits(logits, step)
     labels = np.array([s.label for s in samples], dtype=np.int64)
     loss = weighted_smoothed_ce(logits, labels, loss_cfg)
     return loss, int(np.sum(np.argmax(logits, axis=1) == labels)) / len(samples)
@@ -244,8 +251,6 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
     batches_per_epoch = len(train_samples) // cfg.batch_size
     total_steps = cfg.max_epochs * batches_per_epoch
     warmup_steps = int(cfg.warmup_frac * total_steps)
-    if warmup_steps >= total_steps:
-        raise ConfigError("warmup covers the whole schedule")
 
     history = TrainHistory()
     snapshot = None
@@ -261,19 +266,11 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
             if aug_cfg is not None:
                 chunk = [augment(s, aug_cfg, rng) for s in chunk]
             run_x, kick_x, gamma, y = batch_inputs(chunk)
-            try:
-                logits, cache = model_forward(bundle, run_x, kick_x, gamma,
-                                              mode="train", rng=rng,
-                                              branches=branches)
-                loss = weighted_smoothed_ce(logits, y, loss_cfg)
-            except ValueError as exc:
-                # Finite inputs were validated up front, so a mid-training
-                # ValueError means activations overflowed.
-                raise TrainingDivergedError(str(exc), step=global_step) \
-                    from exc
-            if not np.isfinite(loss):
-                raise TrainingDivergedError("non-finite training loss",
-                                            step=global_step)
+            logits, cache = model_forward(bundle, run_x, kick_x, gamma,
+                                          mode="train", rng=rng,
+                                          branches=branches)
+            _require_finite_logits(logits, global_step)
+            loss = weighted_smoothed_ce(logits, y, loss_cfg)
             model_backward(bundle, cache, loss_backward(logits, y, loss_cfg),
                            grads)
             try:
@@ -293,7 +290,8 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
             global_step += 1
 
         val_loss, val_acc = _evaluate_loss_acc(bundle, val_samples, loss_cfg,
-                                               branches=branches)
+                                               branches=branches,
+                                               step=global_step)
         history.epoch.append(epoch)
         history.train_loss.append(float(np.mean(epoch_losses)))
         history.val_loss.append(val_loss)

@@ -1,27 +1,34 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import contextlib
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import os
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kickdir.cli
 import kickdir.train
 from kickdir.cli import (
     CONFIG_ENV,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DIVERGED,
+    EXIT_FAILURE,
     EXIT_OK,
     _worker_count,
     _write_text,
     main,
 )
-from kickdir.data import load_dataset, save_dataset
+from kickdir.config import TrainConfig
+from kickdir.data import binarize, load_dataset, save_dataset
 from kickdir.errors import ConfigError, DataError
 from kickdir.report import parse_kv
 from kickdir.train import load_checkpoint, save_checkpoint
@@ -312,11 +319,15 @@ def test_train_divergence_exits_four(tmp_path, capsys):
     data = make_dataset(tmp_path)
     cfg = make_config(tmp_path, lr=1e8, weight_decay=0.5, clip_norm=1e30,
                       max_epochs=2)
-    with pytest.warns((RuntimeWarning, UserWarning)):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(["train", "--data", str(data), "--config", str(cfg),
                    "--out", str(tmp_path / "x.npz")])
     assert rc == EXIT_DIVERGED
-    assert "step" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "step" in err
+    assert err.count("\n") == 1
 
 
 def test_bad_config_value_exits_two(tmp_path, capsys):
@@ -624,3 +635,242 @@ def test_report_incomplete_dir(tmp_path, capsys):
     empty.mkdir()
     assert main(["report", "--run-dir", str(empty)]) == EXIT_DATA
     assert "incomplete run directory" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ failures at the edge
+
+
+def _config(root, name, text):
+    path = root / name
+    path.write_bytes(text)
+    return str(path)
+
+
+def _train(root, config, *extra, data="d.pkds"):
+    return ["train", "--data", str(root / data), "--config", config,
+            "--out", str(root / "never.npz"), *extra]
+
+
+def _patched_header(root, name, old, new):
+    """A copy of d.pkds whose header has the token old replaced by new."""
+    raw = bytearray((root / "d.pkds").read_bytes())
+    head = raw[:127].decode().rstrip()
+    assert old in head
+    raw[:128] = head.replace(old, new).ljust(127).encode() + b"\n"
+    path = root / name
+    path.write_bytes(bytes(raw))
+    return str(path)
+
+
+def _run_dir(root, name, files, *extra):
+    run = root / name
+    run.mkdir()
+    for fname, body in files.items():
+        (run / fname).write_bytes(body)
+    return ["report", "--run-dir", str(run), *extra]
+
+
+# One step per epoch (12 training kicks, batch 12) at lr=100: every training
+# step's logits stay finite, and the validation after the second step
+# overflows.
+DIVERGES_AT_VALIDATION = b"""\
+batch_size=12
+max_epochs=3
+k_folds=4
+lr=100
+weight_decay=0.5
+warmup_frac=0
+state_size=4
+n_layers=1
+meta_dim=4
+fusion_hidden=16
+augment=false
+"""
+
+# name: (argv from the fixture directory, exit code, part of the message)
+BAD_INPUTS = {
+    "config-not-ascii": (
+        lambda r: _train(r, _config(r, "utf8.txt", b"seed=caf\xc3\xa9\n")),
+        EXIT_CONFIG, "cannot read config file"),
+    "config-is-a-directory": (
+        lambda r: _train(r, str(r)), EXIT_CONFIG, "cannot read config file"),
+    "lr-inf": (
+        lambda r: _train(r, str(make_config(r, "lr.txt", lr="inf"))),
+        EXIT_CONFIG, "lr must be finite"),
+    "delta-init-max-inf": (
+        lambda r: _train(r, str(make_config(r, "dm.txt",
+                                            delta_init_max="inf"))),
+        EXIT_CONFIG, "delta_init_max must be finite"),
+    "clip-norm-nan": (
+        lambda r: _train(r, str(make_config(r, "cn.txt", clip_norm="nan"))),
+        EXIT_CONFIG, "clip_norm must be finite"),
+    "augment-prob-above-one": (
+        lambda r: _train(r, str(make_config(r, "ap.txt", augment="true",
+                                            augment_apply_prob=2))),
+        EXIT_CONFIG, "apply_prob must be in [0, 1]"),
+    "bool-not-true-or-false": (
+        lambda r: _train(r, str(make_config(r, "bool.txt", augment="yes"))),
+        EXIT_CONFIG, "bad value for augment: expected true or false"),
+    "fold-out-of-range": (
+        lambda r: _train(r, str(make_config(r)), "--fold", "7"),
+        EXIT_CONFIG, "--fold must be in [0, 3)"),
+    "generate-negative-samples": (
+        lambda r: ["generate", "--out", str(r / "neg.pkds"),
+                   "--samples", "-1"],
+        EXIT_CONFIG, "invalid synthetic dataset shape"),
+    "generate-negative-noise": (
+        lambda r: ["generate", "--out", str(r / "neg.pkds"),
+                   "--samples", "3", "--noise", "-1"],
+        EXIT_CONFIG, "invalid synthetic dataset parameters"),
+    "label-space-mismatch": (
+        lambda r: _train(r, str(make_config(r)), "--classes", "3",
+                         data="two.pkds"),
+        EXIT_DATA, "cannot treat a 2-class dataset as 3-class"),
+    "header-value-unparsable": (
+        lambda r: ["inspect", "--data",
+                   _patched_header(r, "nan.pkds", " d=8 ", " d=eight ")],
+        EXIT_DATA, "unparsable header value"),
+    "header-dimensions-out-of-range": (
+        lambda r: ["inspect", "--data",
+                   _patched_header(r, "dims.pkds", " d=8 ", " d=0 ")],
+        EXIT_DATA, "header dimensions out of range"),
+    "header-dimensions-too-large": (
+        lambda r: ["inspect", "--data",
+                   _patched_header(r, "huge.pkds", " d=8 ",
+                                   f" d={10 ** 20} ")],
+        EXIT_DATA, "header dimensions too large"),
+    "header-counts-malformed": (
+        lambda r: ["inspect", "--data",
+                   _patched_header(r, "nclass.pkds", "nclass=3", "nclass=2")],
+        EXIT_DATA, "per-class counts malformed"),
+    "header-counts-do-not-sum": (
+        lambda r: ["inspect", "--data",
+                   _patched_header(r, "count.pkds", " count=80 ",
+                                   " count=79 ")],
+        EXIT_DATA, "per-class counts do not sum to sample count"),
+    "crossval-out-dir-is-a-file": (
+        lambda r: ["crossval", "--data", str(r / "d.pkds"),
+                   "--config", str(make_config(r)),
+                   "--out-dir", str(r / "a_file")],
+        EXIT_DATA, "cannot create"),
+    "crossval-out-dir-under-a-file": (
+        lambda r: ["crossval", "--data", str(r / "d.pkds"),
+                   "--config", str(make_config(r)),
+                   "--out-dir", str(r / "a_file" / "run")],
+        EXIT_DATA, "cannot create"),
+    "ablate-out-dir-is-a-file": (
+        lambda r: ["ablate", "--data", str(r / "d.pkds"),
+                   "--config", str(make_config(r, "one.txt", max_epochs=1)),
+                   "--branches", "run", "--out-dir", str(r / "a_file")],
+        EXIT_DATA, "cannot create"),
+    "report-dir-is-a-file": (
+        lambda r: _run_dir(r, "blocked", {"metrics.kv": b"",
+                                          "report": b""}),
+        EXIT_DATA, "cannot create"),
+    "metrics-kv-malformed-value": (
+        lambda r: _run_dir(r, "malformed", {"metrics.kv": b"n_classes=3x\n"}),
+        EXIT_DATA, "malformed value for n_classes: '3x'"),
+    "metrics-kv-missing-key": (
+        lambda r: _run_dir(r, "missing", {"metrics.kv": b"n_classes=3\n"}),
+        EXIT_DATA, "incomplete run directory: missing folds"),
+    "metrics-kv-malformed-float": (
+        lambda r: _run_dir(r, "float", {
+            "metrics.kv": b"n_classes=3\nfolds=1\nfold.0.accuracy=high\n"}),
+        EXIT_DATA, "malformed value for fold.0.accuracy: 'high'"),
+    "metrics-kv-missing-float": (
+        lambda r: _run_dir(r, "nofloat", {"metrics.kv": b"n_classes=3\n"
+                                          b"folds=0\n"}),
+        EXIT_DATA, "incomplete run directory: missing mean.accuracy"),
+    "metrics-kv-not-ascii": (
+        lambda r: _run_dir(r, "bytes", {"metrics.kv": b"n_classes=\xff\n"}),
+        EXIT_DATA, "cannot read"),
+    "ablation-kv-missing-row": (
+        lambda r: _run_dir(r, "rows", {"ablation.kv": b"rows=1\n"}),
+        EXIT_DATA, "missing row.0.branches"),
+    "svg-without-metrics": (
+        lambda r: _run_dir(r, "svg", {"ablation.kv": b"rows=0\n"},
+                           "--format", "svg"),
+        EXIT_DATA, "svg report needs metrics.kv"),
+    "divergence-at-validation": (
+        lambda r: _train(r, _config(r, "vd.txt", DIVERGES_AT_VALIDATION),
+                         data="sixteen.pkds"),
+        EXIT_DIVERGED, "non-finite logits"),
+}
+
+
+@pytest.fixture(scope="module")
+def edge_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("edge")
+    manifest, samples = load_dataset(make_dataset(root))
+    save_dataset(root / "two.pkds", binarize(samples, n_classes=3),
+                 n_classes=2)
+    make_dataset(root, "sixteen.pkds", samples=16, seed=3)
+    (root / "a_file").write_bytes(b"")
+    return root
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_ends_in_one_line(edge_dir, capsys, case):
+    argv, code, message = BAD_INPUTS[case]
+    argv = argv(edge_dir)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError(
+    "Unable to allocate 142. PiB for an array with shape (100000000, "
+    "1600000000) and data type float64")])
+def test_out_of_memory_ends_in_one_line(edge_dir, capsys, monkeypatch, exc):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(kickdir.cli, "train_fold", exhausted)
+    capsys.readouterr()
+    assert main(_train(edge_dir, str(make_config(edge_dir)))) == EXIT_FAILURE
+    assert capsys.readouterr().err == \
+        f"error: {str(exc) or 'out of memory'}\n"
+
+
+_CONFIG_KEYS = [f.name for f in dataclasses.fields(TrainConfig)]
+_config_value = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e309", "true", "false", "0",
+                     "-1", "0.5", "weight_sum", ""]),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+_config_line = st.one_of(
+    st.builds(lambda key, sep, value: f"{key}{sep}{value}".encode(),
+              st.one_of(st.sampled_from(_CONFIG_KEYS), st.text(max_size=6)),
+              st.sampled_from(["=", " = ", ""]), _config_value),
+    st.binary(max_size=12),
+)
+
+
+@st.composite
+def _config_texts(draw):
+    lines = draw(st.lists(_config_line, max_size=6))
+    if lines and draw(st.booleans()):
+        lines.append(draw(st.sampled_from(lines)))  # a duplicate key
+    return b"\n".join(lines)
+
+
+@settings(derandomize=True, deadline=None)
+@given(text=_config_texts())
+def test_config_text_fuzz_ends_in_one_line(tmp_path_factory, text):
+    """Any config file ends in a config error, or, when it is valid, in the
+    data error of the missing dataset: no training runs."""
+    root = tmp_path_factory.getbasetemp()
+    config = root / "fuzzed_config.txt"
+    config.write_bytes(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["train", "--data", str(root / "missing.pkds"),
+                   "--config", str(config), "--out", str(root / "never.npz")])
+    assert rc in (EXIT_CONFIG, EXIT_DATA)
+    assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()

@@ -408,6 +408,14 @@ def test_divergence_raises_with_step():
     assert info.value.step is not None
 
 
+def test_bad_branches_are_an_argument_error():
+    """Only non-finite logits count as divergence; a bad argument surfaces
+    as the ValueError model_forward raises."""
+    train, val = data_split(25, 5)
+    with pytest.raises(ValueError, match=r"unknown branches: \['bogus'\]"):
+        train_fold(train, val, tiny_config(), branches={"run", "bogus"})
+
+
 def test_divergence_names_the_tensor(monkeypatch):
     import kickdir.train as train_mod
     real = train_mod.model_backward
