@@ -302,18 +302,9 @@ def cmd_ablate(args):
 # ------------------------------------------------------ report rendering
 
 
-def _kv_float(kv, key):
+def _kv_value(kv, key, convert):
     try:
-        return float(kv[key])
-    except KeyError as exc:
-        raise DataError(f"incomplete run directory: missing {key}") from exc
-    except ValueError as exc:
-        raise DataError(f"malformed value for {key}: {kv[key]!r}") from exc
-
-
-def _kv_int(kv, key):
-    try:
-        return int(kv[key])
+        return convert(kv[key])
     except KeyError as exc:
         raise DataError(f"incomplete run directory: missing {key}") from exc
     except ValueError as exc:
@@ -322,18 +313,18 @@ def _kv_int(kv, key):
 
 def _kv_metric_row(kv, label, prefix):
     return (label,
-            _kv_float(kv, f"{prefix}.accuracy"),
-            _kv_float(kv, f"{prefix}.macro_precision"),
-            _kv_float(kv, f"{prefix}.macro_recall"),
-            _kv_float(kv, f"{prefix}.macro_f1"))
+            _kv_value(kv, f"{prefix}.accuracy", float),
+            _kv_value(kv, f"{prefix}.macro_precision", float),
+            _kv_value(kv, f"{prefix}.macro_recall", float),
+            _kv_value(kv, f"{prefix}.macro_f1", float))
 
 
 def _crossval_sections(kv):
     """Rebuild the crossval tables from a parsed metrics.kv mapping."""
-    n_classes = _kv_int(kv, "n_classes")
+    n_classes = _kv_value(kv, "n_classes", int)
     names = class_names(n_classes)
     rows = []
-    for fold in range(_kv_int(kv, "folds")):
+    for fold in range(_kv_value(kv, "folds", int)):
         rows.append(_kv_metric_row(kv, f"fold {fold}", f"fold.{fold}"))
     rows.append(_kv_metric_row(kv, "mean", "mean"))
     if "gk.accuracy" in kv:
@@ -341,17 +332,17 @@ def _crossval_sections(kv):
 
     subgroups = {}
     for key in ("side_right", "side_left", "foot_right", "foot_left"):
-        n = _kv_int(kv, f"subgroup.{key}.n")
+        n = _kv_value(kv, f"subgroup.{key}.n", int)
         if n == 0:
             subgroups[key] = None
         else:
             subgroups[key] = SubgroupStats(
-                n, _kv_float(kv, f"subgroup.{key}.accuracy"))
+                n, _kv_value(kv, f"subgroup.{key}.accuracy", float))
 
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     for i, tname in enumerate(names):
         for j, pname in enumerate(names):
-            counts[i, j] = _kv_int(kv, f"confusion.{tname}.{pname}")
+            counts[i, j] = _kv_value(kv, f"confusion.{tname}.{pname}", int)
     pooled = ConfusionMatrix(counts=counts)
 
     text = (f"crossval results ({n_classes}-class)\n\n"
@@ -363,7 +354,7 @@ def _crossval_sections(kv):
 
 def _ablation_section(kv):
     rows = []
-    for idx in range(_kv_int(kv, "rows")):
+    for idx in range(_kv_value(kv, "rows", int)):
         label = kv.get(f"row.{idx}.branches")
         if label is None:
             raise DataError(

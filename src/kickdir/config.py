@@ -102,7 +102,7 @@ class TrainConfig:
 
     def augment_config(self):
         return AugmentConfig(
-            apply_prob=self.augment_apply_prob if self.augment else 0.0,
+            apply_prob=self.augment_apply_prob,
             temporal_mask_max_frac=self.augment_temporal_mask_max_frac,
             temporal_shift_max=self.augment_temporal_shift_max,
             frame_dropout=self.augment_frame_dropout,

@@ -414,7 +414,8 @@ def generate_synthetic(num_samples, embedding_dim=16, n_r=5, n_k=3,
                           "planted signal")
     if num_samples < 0 or n_r < 1 or n_k < 1:
         raise ConfigError("invalid synthetic dataset shape")
-    if noise_std < 0 or signal_strength < 0 or not 0 <= gk_match_rate <= 1:
+    if not (0 <= noise_std < np.inf and 0 <= signal_strength < np.inf
+            and 0 <= gk_match_rate <= 1):
         raise ConfigError("invalid synthetic dataset parameters")
     rng = np.random.default_rng(seed)
     blend = min(signal_strength, 1.0)

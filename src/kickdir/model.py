@@ -67,11 +67,8 @@ class FlatBuffer(Mapping):
     """One contiguous float64 vector with a reshaped view per named tensor,
     laid out back to back in the order of `table`, a tuple of (name, shape).
 
-    Iterating yields the names. The key WHOLE gives the vector itself, so a
-    one-entry mapping {WHOLE: vector} lines up with this buffer's moments.
+    Iterating yields the names.
     """
-
-    WHOLE = "*"
 
     def __init__(self, table, vector=None):
         self.table = tuple((name, tuple(shape)) for name, shape in table)
@@ -83,7 +80,7 @@ class FlatBuffer(Mapping):
                       in zip(self.table, self.offsets, self.offsets[1:])}
 
     def __getitem__(self, name):
-        return self.vector if name == self.WHOLE else self.views[name]
+        return self.views[name]
 
     def __iter__(self):
         return iter(self.views)
@@ -132,8 +129,8 @@ class ModelBundle:
     """All learnable parameters plus the shape facts needed to rebuild.
 
     params and state are the flat buffers behind the named arrays: the
-    learnable tensors in named_params order and the batch-norm running
-    statistics.
+    learnable tensors (run encoder, kick encoder, fusion) and the
+    batch-norm running statistics.
     """
 
     embedding_dim: int
@@ -204,16 +201,6 @@ def _param_arrays(bundle):
 
 def _state_arrays(bundle):
     return fusion_state_arrays(bundle.fusion, prefix="fusion.")
-
-
-def named_params(bundle):
-    """Name -> view of every learnable tensor, in the flat layout's order."""
-    return dict(bundle.params.views)
-
-
-def named_state(bundle):
-    """Non-learnable buffers (batch-norm running statistics)."""
-    return dict(bundle.state.views)
 
 
 def batch_inputs(samples):

@@ -1,10 +1,12 @@
 """Optimization loop: AdamW with decoupled decay, cosine warmup, global
 gradient clipping, early stopping on validation accuracy, checkpointing.
 
-AdamW splits by block: a tensor of two or more ADAMW_BLOCKs, such as the
-flat parameter vector at d=128, has the second half of its blocks updated
-on the model's worker thread while the caller updates the first half. The
-update is elementwise, so every element gets the bytes a serial loop gives.
+The clip and AdamW work on FlatBuffers: the parameters, the gradients and
+both Adam moments are one vector each, of one layout. AdamW splits by
+block: a vector of two or more ADAMW_BLOCKs, such as the parameters at
+d=128, has the second half of its blocks updated on the model's worker
+thread while the caller updates the first half. The update is
+elementwise, so every element gets the bytes a serial loop gives.
 """
 
 import json
@@ -36,39 +38,34 @@ from .model import (
 ADAMW_BLOCK = 2 ** 15
 
 
-def _sum_of_squares(g):
+def clip_gradients(grads, max_norm=1.0, step=None):
+    """Scale the gradient FlatBuffer by max_norm/g when its global L2 norm g
+    exceeds max_norm, in place, and return g. A non-finite sum of squares
+    raises TrainingDivergedError naming the tensor that holds the first
+    non-finite element or, when every element is finite and only the sum
+    overflowed, the largest one."""
+    vec = grads.vector
     # einsum, not np.dot: BLAS splits a long dot product across its threads,
     # so the last bits of the sum would depend on the thread count.
-    flat = g.reshape(-1)
-    return float(np.einsum("i,i->", flat, flat))
-
-
-def clip_gradients(grads, max_norm=1.0, step=None):
-    """Scale every gradient by max_norm/g when the global L2 norm g exceeds
-    max_norm. Returns (grads, global_norm). Mutates in place."""
-    total = 0.0
-    for name, g in grads.items():
-        s = _sum_of_squares(g)
-        if not np.isfinite(s):
-            raise TrainingDivergedError(
-                f"non-finite gradient in {name}", step=step)
-        total += s
+    total = float(np.einsum("i,i->", vec, vec))
+    if not np.isfinite(total):
+        bad = np.argmax(np.where(np.isfinite(vec), np.abs(vec), np.inf))
+        raise TrainingDivergedError(
+            f"non-finite gradient in {grads.name_at(int(bad))}", step=step)
     norm = float(np.sqrt(total))
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
-    return grads, norm
+        vec *= max_norm / norm
+    return norm
 
 
 @dataclass
 class OptimizerState:
-    """Adam moments by parameter name. For a FlatBuffer of parameters, m and
-    v are FlatBuffers with its layout. scratch holds the block-sized rows
-    adamw_step works in, two per thread; it is not saved."""
+    """Adam moments m and v, FlatBuffers in the parameters' layout. scratch
+    holds the block-sized rows adamw_step works in, two per thread; it is
+    not saved."""
 
-    m: dict
-    v: dict
+    m: FlatBuffer
+    v: FlatBuffer
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -80,50 +77,40 @@ class OptimizerState:
 
 
 def init_optimizer(params, beta1=0.9, beta2=0.999, eps=1e-8):
-    if isinstance(params, FlatBuffer):
-        m, v = params.like(), params.like()
-    else:
-        m = {k: np.zeros_like(a) for k, a in params.items()}
-        v = {k: np.zeros_like(a) for k, a in params.items()}
-    return OptimizerState(m=m, v=v, t=0, beta1=beta1, beta2=beta2, eps=eps)
+    """Zero moments for the FlatBuffer params."""
+    return OptimizerState(m=params.like(), v=params.like(), t=0, beta1=beta1,
+                          beta2=beta2, eps=eps)
 
 
 def adamw_step(params, grads, state, lr_t, wd=5e-2):
-    """One decoupled-weight-decay Adam update, in place.
+    """One decoupled-weight-decay Adam update of the FlatBuffer params, in
+    place, from the FlatBuffer grads of the same layout.
 
     theta <- theta - lr_t * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
 
-    Each C-contiguous tensor is updated in blocks of ADAMW_BLOCK elements,
-    with the same arithmetic per element as the formula above. A tensor of
-    two or more blocks has the second half of its blocks updated on the
-    worker thread when the process may use two CPUs.
+    The vector is updated in blocks of ADAMW_BLOCK elements, with the same
+    arithmetic per element as the formula above. A vector of two or more
+    blocks has the second half of its blocks updated on the worker thread
+    when the process may use two CPUs.
     """
-    if set(params) != set(grads):
-        raise ValueError("parameter and gradient registries disagree")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     coef = (b1, b2, state.eps, 1.0 - b1 ** state.t, 1.0 - b2 ** state.t,
             lr_t, wd)
-    for name, theta in params.items():
-        g = grads[name]
-        m, v = state.m[name], state.v[name]
-        if not all(a.flags.c_contiguous for a in (theta, m, v)):
-            raise ValueError(f"{name} or its moments are not C-contiguous")
-        flat = tuple(a.reshape(-1) for a in (theta, g, m, v))
-        blocks = -(-theta.size // ADAMW_BLOCK)
-        split = blocks > 1 and model.usable_cpus() > 1
-        rows = 4 if split else 2
-        if state.scratch is None or len(state.scratch) < rows:
-            state.scratch = np.empty((rows, ADAMW_BLOCK))
-        if split:
-            mid = (blocks - blocks // 2) * ADAMW_BLOCK
-            model.WORKER.run(
-                partial(_adamw_blocks, flat, 0, mid, state.scratch[:2], coef),
-                partial(_adamw_blocks, flat, mid, theta.size,
-                        state.scratch[2:], coef))
-        else:
-            _adamw_blocks(flat, 0, theta.size, state.scratch[:2], coef)
-    return params, state
+    flat = (params.vector, grads.vector, state.m.vector, state.v.vector)
+    size = params.vector.size
+    blocks = -(-size // ADAMW_BLOCK)
+    split = blocks > 1 and model.usable_cpus() > 1
+    rows = 4 if split else 2
+    if state.scratch is None or len(state.scratch) < rows:
+        state.scratch = np.empty((rows, ADAMW_BLOCK))
+    if split:
+        mid = (blocks - blocks // 2) * ADAMW_BLOCK
+        model.WORKER.run(
+            partial(_adamw_blocks, flat, 0, mid, state.scratch[:2], coef),
+            partial(_adamw_blocks, flat, mid, size, state.scratch[2:], coef))
+    else:
+        _adamw_blocks(flat, 0, size, state.scratch[:2], coef)
 
 
 def _adamw_blocks(flat, lo, hi, scratch, coef):
@@ -233,12 +220,8 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
                          head_branches=head_branches)
     if branches is None:
         branches = bundle.head_branches
-    # One gradient buffer for the whole fold, freed when it returns. The
-    # per-step clip and update see one tensor each: the flat vectors.
+    # One gradient buffer for the whole fold, freed when it returns.
     grads = bundle.params.like()
-    whole = FlatBuffer.WHOLE
-    flat_params = {whole: bundle.params.vector}
-    flat_grads = {whole: grads.vector}
     opt = init_optimizer(bundle.params, beta1=cfg.beta1, beta2=cfg.beta2,
                          eps=cfg.adam_eps)
     labels = [s.label for s in train_samples]
@@ -273,16 +256,10 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
             loss = weighted_smoothed_ce(logits, y, loss_cfg)
             model_backward(bundle, cache, loss_backward(logits, y, loss_cfg),
                            grads)
-            try:
-                _, norm = clip_gradients(flat_grads, cfg.clip_norm,
-                                         step=global_step)
-            except TrainingDivergedError:
-                raise TrainingDivergedError(
-                    f"non-finite gradient in {_nonfinite_name(grads)}",
-                    step=global_step) from None
+            norm = clip_gradients(grads, cfg.clip_norm, step=global_step)
             lr_t = cosine_warmup_lr(global_step, warmup_steps, total_steps,
                                     cfg.lr)
-            adamw_step(flat_params, flat_grads, opt, lr_t, wd=cfg.weight_decay)
+            adamw_step(bundle.params, grads, opt, lr_t, wd=cfg.weight_decay)
             history.step_lr.append(lr_t)
             history.step_grad_norm.append(norm)
             history.step_grad_norm_clipped.append(min(norm, cfg.clip_norm))
@@ -312,15 +289,6 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
     np.copyto(bundle.params.vector, snapshot[0])
     np.copyto(bundle.state.vector, snapshot[1])
     return bundle, opt, history
-
-
-def _nonfinite_name(grads):
-    """Name of the tensor holding the first non-finite element of the
-    FlatBuffer grads or, when every element is finite and only the sum of
-    squares overflowed, the largest one."""
-    vec = grads.vector
-    return grads.name_at(
-        int(np.argmax(np.where(np.isfinite(vec), np.abs(vec), np.inf))))
 
 
 @contextmanager

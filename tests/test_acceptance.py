@@ -39,11 +39,10 @@ from kickdir.metrics import (
     mean_report,
 )
 from kickdir.model import (
+    FlatBuffer,
     build_model,
     model_backward,
     model_forward,
-    named_params,
-    named_state,
     predict_logits,
 )
 from kickdir.numerics import log_softmax
@@ -107,7 +106,7 @@ def test_criterion_01_gradient_correctness():
                                   rng=np.random.default_rng(999))
     grads = model_backward(bundle, cache,
                            loss_backward(logits, labels, loss_cfg))
-    params = named_params(bundle)
+    params = bundle.params
     assert set(grads) == set(params)
     worst = 0.0
     for name, analytic in grads.items():
@@ -331,8 +330,8 @@ def test_criterion_09_training_recipe_conformance():
     # Zero-gradient AdamW is pure decoupled weight decay: exact geometric
     # parameter decay at rate (1 - lr * wd) per step.
     theta0 = np.linspace(0.5, 2.0, 7)
-    params = {"w": theta0.copy()}
-    zero = {"w": np.zeros(7)}
+    params = FlatBuffer([("w", (7,))], theta0.copy())
+    zero = params.like()
     opt = init_optimizer(params)
     for _ in range(100):
         adamw_step(params, zero, opt, lr_t=1e-3, wd=5e-2)
@@ -448,8 +447,8 @@ def test_criterion_11_determinism_and_round_trip(tmp_path):
     ckpt = tmp_path / "fold.npz"
     save_checkpoint(ckpt, bundle_a, opt_a, hist_a, cfg)
     bundle_c, opt_c, hist_c, cfg_c = load_checkpoint(ckpt)
-    params_a, params_c = named_params(bundle_a), named_params(bundle_c)
-    state_a, state_c = named_state(bundle_a), named_state(bundle_c)
+    params_a, params_c = bundle_a.params, bundle_c.params
+    state_a, state_c = bundle_a.state, bundle_c.state
     ckpt_ok = (
         all(np.array_equal(params_a[k], params_c[k]) for k in params_a)
         and all(np.array_equal(state_a[k], state_c[k]) for k in state_a)

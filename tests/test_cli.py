@@ -708,6 +708,10 @@ BAD_INPUTS = {
         lambda r: _train(r, str(make_config(r, "ap.txt", augment="true",
                                             augment_apply_prob=2))),
         EXIT_CONFIG, "apply_prob must be in [0, 1]"),
+    "augment-prob-above-one-augment-off": (
+        lambda r: _train(r, str(make_config(r, "apoff.txt", augment="false",
+                                            augment_apply_prob=2))),
+        EXIT_CONFIG, "apply_prob must be in [0, 1]"),
     "bool-not-true-or-false": (
         lambda r: _train(r, str(make_config(r, "bool.txt", augment="yes"))),
         EXIT_CONFIG, "bad value for augment: expected true or false"),
@@ -721,6 +725,22 @@ BAD_INPUTS = {
     "generate-negative-noise": (
         lambda r: ["generate", "--out", str(r / "neg.pkds"),
                    "--samples", "3", "--noise", "-1"],
+        EXIT_CONFIG, "invalid synthetic dataset parameters"),
+    "generate-signal-nan": (
+        lambda r: ["generate", "--out", str(r / "signal.pkds"),
+                   "--samples", "3", "--signal", "nan"],
+        EXIT_CONFIG, "invalid synthetic dataset parameters"),
+    "generate-signal-inf": (
+        lambda r: ["generate", "--out", str(r / "signal.pkds"),
+                   "--samples", "3", "--signal", "inf"],
+        EXIT_CONFIG, "invalid synthetic dataset parameters"),
+    "generate-noise-nan": (
+        lambda r: ["generate", "--out", str(r / "noise.pkds"),
+                   "--samples", "3", "--noise", "nan"],
+        EXIT_CONFIG, "invalid synthetic dataset parameters"),
+    "generate-noise-inf": (
+        lambda r: ["generate", "--out", str(r / "noise.pkds"),
+                   "--samples", "3", "--noise", "inf"],
         EXIT_CONFIG, "invalid synthetic dataset parameters"),
     "label-space-mismatch": (
         lambda r: _train(r, str(make_config(r)), "--classes", "3",

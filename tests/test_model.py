@@ -9,12 +9,11 @@ from kickdir.fusion import loss_backward, unit_loss_config, weighted_smoothed_ce
 from kickdir.gradcheck import max_rel_error, numerical_grad
 from kickdir.model import (
     ALL_BRANCHES,
+    FlatBuffer,
     batch_inputs,
     build_model,
     model_backward,
     model_forward,
-    named_params,
-    named_state,
     predict,
     predict_logits,
 )
@@ -62,7 +61,7 @@ def test_eval_mode_deterministic():
 def test_param_registry_matches_gradient_keys():
     rng = np.random.default_rng(4)
     bundle = build_model(4, 3, small_config(), np.random.default_rng(5))
-    params = named_params(bundle)
+    params = bundle.params
     assert all(k.startswith(("run_enc.", "kick_enc.", "fusion."))
                for k in params)
     run_x, kick_x, gamma, labels = make_batch(rng)
@@ -77,13 +76,13 @@ def test_param_registry_matches_gradient_keys():
 
 def test_state_registry_is_batchnorm_buffers():
     bundle = build_model(4, 3, small_config(), np.random.default_rng(6))
-    state = named_state(bundle)
+    state = bundle.state
     assert set(state) == {"fusion.bn_running_mean", "fusion.bn_running_var"}
 
 
 def test_registry_entries_alias_model_arrays():
     bundle = build_model(4, 3, small_config(), np.random.default_rng(7))
-    params = named_params(bundle)
+    params = bundle.params
     params["fusion.b_out"][0] = 123.0
     assert bundle.fusion.b_out[0] == 123.0
 
@@ -98,7 +97,7 @@ def test_full_model_gradcheck():
     gamma = rng.random((4, 2))
     bundle.fusion.b_meta += 0.05 * rng.normal(size=bundle.fusion.b_meta.shape)
     cfg = unit_loss_config(3)
-    params = named_params(bundle)
+    params = bundle.params
 
     def loss_with(mode_rng):
         logits, cache = model_forward(bundle, run_x, kick_x, gamma,
@@ -126,7 +125,7 @@ def test_masked_branches_zero_their_gradients():
                                   rng=np.random.default_rng(0),
                                   branches={"run"})
     grads = model_backward(bundle, cache, loss_backward(logits, labels, cfg))
-    assert set(grads) == set(named_params(bundle))
+    assert set(grads) == set(bundle.params)
     for name, g in grads.items():
         if name.startswith("kick_enc."):
             assert not g.any(), name
@@ -235,7 +234,7 @@ def test_slim_head_drops_segments_from_fusion_input():
     cfg_loss = unit_loss_config(3)
     grads = model_backward(bundle, cache, loss_backward(logits, labels,
                                                         cfg_loss))
-    assert set(grads) == set(named_params(bundle))
+    assert set(grads) == set(bundle.params)
     assert not any(g.any() for n, g in grads.items()
                    if n.startswith("kick_enc."))
     with pytest.raises(ValueError):
@@ -265,7 +264,7 @@ def test_slim_head_gradcheck():
     checked = {n: g for n, g in grads.items()
                if not n.startswith("kick_enc.")}
     worst = 0.0
-    params = named_params(bundle)
+    params = bundle.params
     for name, analytic in checked.items():
         def f(_):
             lg, _c = model_forward(bundle, run_x, kick_x, gamma,
@@ -324,11 +323,10 @@ def test_predict_logits_rejects_non_finite_sample():
 
 def test_flat_layout_views_tile_one_vector():
     bundle = build_model(16, 3, TrainConfig(), np.random.default_rng(28))
-    for buf, named in ((bundle.params, named_params(bundle)),
-                       (bundle.state, named_state(bundle))):
+    for buf in (bundle.params, bundle.state):
         assert buf.vector.dtype == np.float64 and buf.vector.ndim == 1
         offset = 0
-        for name, view in named.items():
+        for name, view in buf.items():
             assert view.flags.c_contiguous, name
             assert np.shares_memory(view, buf.vector), name
             assert view.ctypes.data == buf.vector.ctypes.data + 8 * offset, \
@@ -336,10 +334,10 @@ def test_flat_layout_views_tile_one_vector():
             offset += view.size
         assert offset == buf.vector.size
     assert bundle.params.vector.size == 25_395
-    assert len(named_params(bundle)) == 86
+    assert len(bundle.params) == 86
     # The dataclass fields are the views themselves.
-    assert named_params(bundle)["fusion.w_out"] is bundle.fusion.w_out
-    assert named_state(bundle)["fusion.bn_running_var"] \
+    assert bundle.params["fusion.w_out"] is bundle.fusion.w_out
+    assert bundle.state["fusion.bn_running_var"] \
         is bundle.fusion.bn_running_var
     bundle.params.vector[:] = 0.5
     assert np.all(bundle.run_enc.layers[1].block.ssm.a_log == 0.5)
@@ -356,10 +354,9 @@ def test_pickled_bundle_keeps_views():
     import pickle
     bundle = build_model(6, 3, small_config(), np.random.default_rng(30))
     copy = pickle.loads(pickle.dumps(bundle))
-    for buf, named in ((copy.params, named_params(copy)),
-                       (copy.state, named_state(copy))):
-        assert all(np.shares_memory(v, buf.vector) for v in named.values())
-    assert named_params(copy)["run_enc.proj_w"] is copy.run_enc.w_proj
+    for buf in (copy.params, copy.state):
+        assert all(np.shares_memory(v, buf.vector) for v in buf.values())
+    assert copy.params["run_enc.proj_w"] is copy.run_enc.w_proj
     assert np.array_equal(copy.params.vector, bundle.params.vector)
     assert np.array_equal(copy.state.vector, bundle.state.vector)
     copy.fusion.b_out[0] = 7.0
@@ -380,7 +377,7 @@ def test_masked_backward_clears_stale_gradients():
                                       branches=branches)
         grads = model_backward(bundle, cache,
                                loss_backward(logits, labels, cfg), buf)
-        assert grads is buf and list(grads) == list(named_params(bundle))
+        assert grads is buf and list(grads) == list(bundle.params)
         kick = [g for n, g in grads.items() if n.startswith("kick_enc.")]
         assert any(g.any() for g in kick) == expect_kick
     assert not grads["fusion.w_meta"].any()
@@ -765,8 +762,8 @@ def test_one_chunk_and_one_block_never_start_the_worker(monkeypatch,
     monkeypatch.setattr(model_mod, "THREAD_MIN_ELEMENTS", 2 ** 62)
     predict_logits(bundle, samples[:3])
     rng = np.random.default_rng(44)
-    params = {"w": rng.normal(size=ADAMW_BLOCK)}
-    adamw_step(params, {"w": rng.normal(size=ADAMW_BLOCK)},
+    params = FlatBuffer([("w", (ADAMW_BLOCK,))], rng.normal(size=ADAMW_BLOCK))
+    adamw_step(params, FlatBuffer(params.table, rng.normal(size=ADAMW_BLOCK)),
                init_optimizer(params), lr_t=1e-3)
     assert kick_worker._pool is None
     predict_logits(bundle, samples[:4])

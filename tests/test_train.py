@@ -12,13 +12,10 @@ from kickdir.model import (
     build_model,
     model_backward,
     model_forward,
-    named_params,
-    named_state,
     predict_logits,
 )
 from kickdir.train import (
     ADAMW_BLOCK,
-    OptimizerState,
     TrainHistory,
     _evaluate_loss_acc,
     adamw_step,
@@ -47,40 +44,48 @@ def data_split(n, n_val, **kwargs):
     return samples[:-n_val], samples[-n_val:]
 
 
+def flat(**arrays):
+    """A FlatBuffer holding a copy of each named array."""
+    buf = FlatBuffer((name, np.shape(a)) for name, a in arrays.items())
+    for name, a in arrays.items():
+        buf[name][...] = a
+    return buf
+
+
 # ---------------------------------------------------------------- clipping
 
 
 def test_clip_reference_vector():
-    grads = {"w": np.array([3.0, 4.0])}
-    _, norm = clip_gradients(grads, max_norm=1.0)
+    grads = flat(w=[3.0, 4.0])
+    norm = clip_gradients(grads, max_norm=1.0)
     assert norm == 5.0
     assert np.allclose(grads["w"], [0.6, 0.8], atol=1e-12)
 
 
 def test_clip_under_threshold_is_identity():
     g = np.array([0.3, 0.4])
-    grads = {"w": g.copy()}
-    _, norm = clip_gradients(grads, max_norm=1.0)
+    grads = flat(w=g)
+    norm = clip_gradients(grads, max_norm=1.0)
     assert np.array_equal(grads["w"], g)
     assert np.isclose(norm, 0.5)
 
 
 def test_clip_zero_gradients_safe():
-    grads = {"w": np.zeros(4), "b": np.zeros(2)}
-    _, norm = clip_gradients(grads, max_norm=1.0)
+    grads = flat(w=np.zeros(4), b=np.zeros(2))
+    norm = clip_gradients(grads, max_norm=1.0)
     assert norm == 0.0
     assert not grads["w"].any()
 
 
 def test_clip_uses_global_norm_across_arrays():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
+    grads = flat(a=[3.0], b=[4.0])
     clip_gradients(grads, max_norm=1.0)
     assert np.allclose(grads["a"], [0.6], atol=1e-12)
     assert np.allclose(grads["b"], [0.8], atol=1e-12)
 
 
 def test_clip_nonfinite_raises_with_step():
-    grads = {"w": np.array([1.0, np.nan])}
+    grads = flat(w=[1.0, np.nan])
     with pytest.raises(TrainingDivergedError) as info:
         clip_gradients(grads, max_norm=1.0, step=7)
     assert info.value.step == 7
@@ -100,7 +105,7 @@ def test_one_sum_clip_norm_matches_per_tensor_sum():
     grads = model_backward(bundle, cache, loss_backward(logits, labels,
                                                         loss_cfg))
     per_tensor = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    _, norm = clip_gradients({FlatBuffer.WHOLE: grads.vector}, max_norm=1e9)
+    norm = clip_gradients(grads, max_norm=1e9)
     assert abs(norm - per_tensor) <= 1e-14 * per_tensor
 
 
@@ -109,45 +114,38 @@ def test_one_sum_clip_norm_matches_per_tensor_sum():
 
 def test_adamw_first_step_reference():
     """From zero moments, |update| is lr regardless of gradient scale."""
-    params = {"w": np.array([0.0])}
+    params = flat(w=[0.0])
     opt = init_optimizer(params)
-    adamw_step(params, {"w": np.array([1.0])}, opt, lr_t=0.1, wd=0.0)
+    adamw_step(params, flat(w=[1.0]), opt, lr_t=0.1, wd=0.0)
     assert abs(params["w"][0] + 0.1) < 1e-8
     assert opt.t == 1
 
 
 def test_adamw_pure_decay_reference():
-    params = {"w": np.array([1.0])}
+    params = flat(w=[1.0])
     opt = init_optimizer(params)
-    adamw_step(params, {"w": np.array([0.0])}, opt, lr_t=1e-3, wd=5e-2)
+    adamw_step(params, flat(w=[0.0]), opt, lr_t=1e-3, wd=5e-2)
     assert np.isclose(params["w"][0], 0.99995, atol=1e-12)
 
 
 def test_adamw_zero_grad_zero_decay_fixpoint():
-    params = {"w": np.array([2.5, -1.0])}
+    params = flat(w=[2.5, -1.0])
     opt = init_optimizer(params)
     for _ in range(5):
-        adamw_step(params, {"w": np.zeros(2)}, opt, lr_t=1e-2, wd=0.0)
+        adamw_step(params, flat(w=np.zeros(2)), opt, lr_t=1e-2, wd=0.0)
     assert np.array_equal(params["w"], [2.5, -1.0])
 
 
 def test_adamw_geometric_decay_under_zero_gradients():
     rng = np.random.default_rng(0)
     theta0 = rng.normal(size=7)
-    params = {"w": theta0.copy()}
+    params = flat(w=theta0)
     opt = init_optimizer(params)
     lr, wd = 1e-3, 5e-2
     for _ in range(100):
-        adamw_step(params, {"w": np.zeros(7)}, opt, lr_t=lr, wd=wd)
+        adamw_step(params, flat(w=np.zeros(7)), opt, lr_t=lr, wd=wd)
     expected = theta0 * (1.0 - lr * wd) ** 100
     assert np.max(np.abs(params["w"] - expected) / np.abs(expected)) < 1e-10
-
-
-def test_adamw_registry_mismatch_rejected():
-    params = {"w": np.zeros(2)}
-    opt = init_optimizer(params)
-    with pytest.raises(ValueError):
-        adamw_step(params, {"b": np.zeros(2)}, opt, lr_t=0.1)
 
 
 def reference_adamw(params, grads, m, v, t, lr_t, wd, b1=0.9, b2=0.999,
@@ -175,33 +173,17 @@ def test_flat_blocked_adamw_matches_per_tensor_reference():
     ref = {k: a.copy() for k, a in params.items()}
     ref_m = {k: np.zeros_like(a) for k, a in ref.items()}
     ref_v = {k: np.zeros_like(a) for k, a in ref.items()}
-    whole = FlatBuffer.WHOLE
     for step, (lr, wd) in enumerate([(1e-3, 5e-2), (3e-3, 0.0), (1e-2, 1e-2),
                                      (2e-4, 5e-2), (0.0, 5e-2)], start=1):
         grads.vector[:] = rng.normal(size=grads.vector.size) \
             * rng.choice([1e-9, 1.0, 1e3], size=grads.vector.size)
-        adamw_step({whole: params.vector}, {whole: grads.vector}, opt,
-                   lr_t=lr, wd=wd)
+        adamw_step(params, grads, opt, lr_t=lr, wd=wd)
         reference_adamw(ref, dict(grads), ref_m, ref_v, step, lr, wd)
         assert opt.t == step
         for k in ref:
             assert np.array_equal(params[k], ref[k]), (step, k)
             assert np.array_equal(opt.m[k], ref_m[k]), (step, k)
             assert np.array_equal(opt.v[k], ref_v[k]), (step, k)
-
-
-def test_per_tensor_adamw_matches_reference():
-    rng = np.random.default_rng(2)
-    params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
-    ref = {k: a.copy() for k, a in params.items()}
-    ref_m = {k: np.zeros_like(a) for k, a in ref.items()}
-    ref_v = {k: np.zeros_like(a) for k, a in ref.items()}
-    opt = init_optimizer(params)
-    for step in range(1, 4):
-        grads = {k: rng.normal(size=a.shape) for k, a in params.items()}
-        adamw_step(params, grads, opt, lr_t=1e-2, wd=5e-2)
-        reference_adamw(ref, grads, ref_m, ref_v, step, 1e-2, 5e-2)
-    assert all(np.array_equal(params[k], ref[k]) for k in params)
 
 
 @pytest.fixture
@@ -218,12 +200,12 @@ def test_split_adamw_matches_serial(monkeypatch, one_worker):
     rng = np.random.default_rng(5)
     start = {"big": rng.normal(size=11 * ADAMW_BLOCK // 2),
              "small": rng.normal(size=(3, 4))}
-    grads = [{k: rng.normal(size=a.shape) * 10.0 ** rng.integers(-9, 4)
-              for k, a in start.items()} for _ in range(4)]
+    grads = [flat(**{k: rng.normal(size=a.shape) * 10.0 ** rng.integers(-9, 4)
+                     for k, a in start.items()}) for _ in range(4)]
     runs = []
     for cpus in (1, 2):
         monkeypatch.setattr(model_mod, "usable_cpus", lambda: cpus)
-        params = {k: a.copy() for k, a in start.items()}
+        params = flat(**start)
         opt = init_optimizer(params)
         for step, g in enumerate(grads):
             adamw_step(params, g, opt, lr_t=1e-3 * (step + 1), wd=5e-2)
@@ -236,22 +218,13 @@ def test_split_adamw_matches_serial(monkeypatch, one_worker):
         assert np.array_equal(o1.v[k], o2.v[k])
 
 
-def test_adamw_rejects_non_contiguous_parameter():
-    params = {"w": np.zeros((4, 4))[:, ::2]}
-    opt = init_optimizer(params)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        adamw_step(params, {"w": np.ones((4, 2))}, opt, lr_t=0.1)
-
-
 def test_pickled_optimizer_keeps_views():
     import pickle
     bundle = build_model(6, 3, tiny_config(), np.random.default_rng(3))
     opt = init_optimizer(bundle.params)
-    whole = FlatBuffer.WHOLE
     grads = bundle.params.like()
     grads.vector[:] = 0.25
-    adamw_step({whole: bundle.params.vector}, {whole: grads.vector}, opt,
-               lr_t=1e-3)
+    adamw_step(bundle.params, grads, opt, lr_t=1e-3)
     assert opt.scratch is not None
     copy = pickle.loads(pickle.dumps(opt))
     assert copy.scratch is None and copy.t == 1
@@ -326,7 +299,7 @@ def test_train_fold_same_seed_reproducible():
     assert hist_a.val_loss == hist_b.val_loss
     assert hist_a.val_acc == hist_b.val_acc
     assert hist_a.step_grad_norm == hist_b.step_grad_norm
-    pa, pb = named_params(bundle_a), named_params(bundle_b)
+    pa, pb = bundle_a.params, bundle_b.params
     assert all(np.array_equal(pa[k], pb[k]) for k in pa)
 
 
@@ -373,10 +346,10 @@ def test_evaluation_leaves_state_untouched():
     train, val = data_split(25, 5)
     cfg = tiny_config(max_epochs=1)
     bundle, _, _ = train_fold(train, val, cfg)
-    before = {k: a.copy() for k, a in named_state(bundle).items()}
+    before = {k: a.copy() for k, a in bundle.state.items()}
     loss_cfg = LossConfig(class_weights=np.ones(3))
     _evaluate_loss_acc(bundle, val, loss_cfg)
-    after = named_state(bundle)
+    after = bundle.state
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
@@ -445,14 +418,14 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(path, bundle, opt, hist, cfg)
     bundle2, opt2, hist2, cfg2 = load_checkpoint(path)
     assert bundle2.head_branches == bundle.head_branches
-    p1, p2 = named_params(bundle), named_params(bundle2)
+    p1, p2 = bundle.params, bundle2.params
     assert all(np.array_equal(p1[k], p2[k]) for k in p1)
-    s1, s2 = named_state(bundle), named_state(bundle2)
+    s1, s2 = bundle.state, bundle2.state
     assert all(np.array_equal(s1[k], s2[k]) for k in s1)
     assert opt2.t == opt.t and opt2.beta1 == cfg.beta1
     assert all(np.array_equal(opt.m[k], opt2.m[k]) for k in opt.m)
     assert all(np.array_equal(opt.v[k], opt2.v[k]) for k in opt.v)
-    assert list(opt2.m) == list(named_params(bundle2))
+    assert list(opt2.m) == list(bundle2.params)
     assert all(np.shares_memory(opt2.m[k], opt2.m.vector)
                and np.shares_memory(opt2.v[k], opt2.v.vector) for k in opt2.m)
     assert hist2.epoch == hist.epoch
