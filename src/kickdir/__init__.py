@@ -18,6 +18,8 @@ from .data import (
     FoldSplit,
     Metadata,
     PenaltySample,
+    SampleTable,
+    as_table,
     binarize,
     compute_class_weights,
     generate_synthetic,
@@ -68,9 +70,11 @@ __all__ = [
     "MetricReport",
     "ModelBundle",
     "PenaltySample",
+    "SampleTable",
     "TrainConfig",
     "TrainHistory",
     "TrainingDivergedError",
+    "as_table",
     "augment",
     "binarize",
     "build_model",

@@ -3,7 +3,7 @@
 The whole pipeline fires with probability apply_prob; once it fires, every
 transform is applied, in a fixed order, to both phases. Labels, sequence
 lengths, and the stored binary metadata never change; metadata noise lands
-on a float copy carried in the sample's meta_float slot.
+on the float metadata pair fed to the model.
 """
 
 from dataclasses import dataclass, replace
@@ -76,20 +76,31 @@ def _augment_phase(seq, cfg, rng):
     return seq
 
 
+def augment_inputs(run, kick, meta, cfg, rng):
+    """Augment one sample's float64 model inputs in place: the run and kick
+    sequences, (T, D) each, and the metadata pair. Augmented sequences are
+    rounded through float32, the precision embeddings are stored at.
+    Returns whether the pipeline fired. The caller owns the rng stream."""
+    if rng.random() >= cfg.apply_prob:
+        return False
+    for seq in (run, kick):
+        _augment_phase(seq, cfg, rng)
+        seq[...] = seq.astype(np.float32)
+    if cfg.metadata_noise_std > 0.0:
+        meta += rng.normal(0.0, cfg.metadata_noise_std, size=2)
+    return True
+
+
 def augment(sample, cfg, rng):
     """Return an augmented copy of the sample (or the sample itself when the
-    pipeline does not fire). The caller owns the rng stream."""
-    if rng.random() >= cfg.apply_prob:
-        return sample
+    pipeline does not fire), with any metadata noise in its meta_float
+    slot. The caller owns the rng stream."""
     run = sample.run_seq.astype(np.float64)
     kick = sample.kick_seq.astype(np.float64)
-    _augment_phase(run, cfg, rng)
-    _augment_phase(kick, cfg, rng)
-    meta_float = None
-    if cfg.metadata_noise_std > 0.0:
-        meta_float = sample.meta.as_floats() + rng.normal(
-            0.0, cfg.metadata_noise_std, size=2)
+    meta = sample.meta.as_floats()
+    if not augment_inputs(run, kick, meta, cfg, rng):
+        return sample
     return replace(sample,
                    run_seq=run.astype(np.float32),
                    kick_seq=kick.astype(np.float32),
-                   meta_float=meta_float)
+                   meta_float=meta if cfg.metadata_noise_std > 0.0 else None)

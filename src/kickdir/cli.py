@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .data import (
+    GK_ABSENT,
     binarize,
     generate_synthetic,
     load_dataset,
@@ -86,7 +87,7 @@ def _apply_label_space(manifest, samples, classes):
     """Project the dataset onto the requested label space, logging the
     sample-count drop when center kicks are removed."""
     if classes is None or classes == manifest.n_classes:
-        return list(samples), manifest.n_classes
+        return samples, manifest.n_classes
     if classes == 2 and manifest.n_classes == 3:
         out = binarize(samples, n_classes=3)
         print(f"binarize: {len(samples)} -> {len(out)} samples "
@@ -141,10 +142,10 @@ def _worker_count(jobs, folds):
 def _run_folds(samples, split, cfg, jobs=1, branches=None, head=None):
     """Train and score every fold; returns results ordered by fold index.
     jobs is a pool size from _worker_count."""
-    tasks = []
-    for fold in range(split.k):
-        train_samples, val_samples = split.split(samples, fold)
-        tasks.append((fold, train_samples, val_samples, cfg, branches, head))
+    # A fold's sub-tables copy its records, so the serial path builds them
+    # one fold at a time.
+    tasks = ((fold, *split.split(samples, fold), cfg, branches, head)
+             for fold in range(split.k))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_fold_task, tasks))
@@ -220,7 +221,7 @@ def cmd_crossval(args):
     split = stratified_kfold(samples, k=cfg.k_folds, seed=cfg.seed)
     jobs = _worker_count(args.jobs, split.k)
 
-    missing_gk = sum(1 for s in samples if s.gk_direction is None)
+    missing_gk = int(np.sum(samples.gk == GK_ABSENT))
     gk_report = None
     if missing_gk:
         print(f"warning: gk_direction missing on {missing_gk} sample(s); "

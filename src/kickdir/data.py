@@ -6,9 +6,14 @@ counts, backbone tag) followed by records of one structured dtype: a 16-byte
 id, the run then kick sequences as little-endian float32 in (time, feature)
 order, side, foot and label bytes, and a keeper byte where 255 means absent.
 Save and load enforce the same record rules (_check_records).
+
+In memory a dataset is a SampleTable over an array of those records. Every
+function that takes samples accepts a table or a list of PenaltySample and
+converts the list once, through as_table.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,8 +68,8 @@ class Metadata:
 class PenaltySample:
     """One kick: per-phase embedding sequences plus context.
 
-    meta_float is a transient real-valued relaxation of the metadata bits
-    used by augmentation; it is never serialized.
+    meta_float holds the real-valued metadata that augment draws; it is
+    never serialized, and as_table rejects a sample that carries it.
     """
 
     id: str
@@ -74,10 +79,6 @@ class PenaltySample:
     label: int
     gk_direction: int | None = None
     meta_float: np.ndarray | None = None
-
-    def meta_inputs(self):
-        """Float metadata vector fed to the model."""
-        return self.meta.as_floats() if self.meta_float is None else self.meta_float
 
 
 @dataclass(frozen=True)
@@ -91,65 +92,164 @@ class DatasetManifest:
     backbone: str
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    """Partition of sample ids into k folds."""
+# Cached: building a structured dtype is a large share of converting a
+# one-kick list, which every single-kick prediction does.
+@lru_cache(maxsize=4)
+def _record_dtype(d, n_r, n_k):
+    """One container record: the id bytes, the run and kick sequences, then
+    side, foot, label and keeper bytes."""
+    return np.dtype([("id", f"S{ID_SIZE}"), ("run", "<f4", (n_r, d)),
+                     ("kick", "<f4", (n_k, d)), ("side", "u1"), ("foot", "u1"),
+                     ("label", "u1"), ("gk", "u1")])
 
-    k: int
-    assignment: dict  # id -> fold index
 
-    def split(self, samples, fold):
-        """(train, held_out) sample lists for one fold, in dataset order."""
-        if not 0 <= fold < self.k:
-            raise ValueError(f"fold {fold} out of range for k={self.k}")
-        train = [s for s in samples if self.assignment[s.id] != fold]
-        held = [s for s in samples if self.assignment[s.id] == fold]
-        return train, held
+class SampleTable:
+    """Samples held as columns: one structured array of container records.
+
+    run (S, N_r, D) and kick (S, N_k, D) are float32 columns; side, foot,
+    label and gk are byte columns, where a gk of GK_ABSENT means no keeper.
+    A loaded table's columns are views into the buffer holding the file.
+
+    len() counts the samples. An integer index builds one PenaltySample
+    whose sequences are writable views into the table; its scalar fields
+    are a snapshot, so assigning to them does not write the table. A slice,
+    a boolean mask or an index array gives a sub-table.
+    """
+
+    def __init__(self, records):
+        self.records = records
+
+    def __len__(self):
+        return len(self.records)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, index):
+        if not isinstance(index, (int, np.integer)):
+            return SampleTable(self.records[index])
+        gk = int(self.gk[index])
+        return PenaltySample(
+            id=self.name(index), run_seq=self.run[index],
+            kick_seq=self.kick[index],
+            meta=Metadata(side=int(self.side[index]),
+                          foot=int(self.foot[index])),
+            label=int(self.label[index]),
+            gk_direction=None if gk == GK_ABSENT else gk)
+
+    run = property(lambda self: self.records["run"])
+    kick = property(lambda self: self.records["kick"])
+    side = property(lambda self: self.records["side"])
+    foot = property(lambda self: self.records["foot"])
+    label = property(lambda self: self.records["label"])
+    gk = property(lambda self: self.records["gk"])
+
+    def name(self, index):
+        """The id of one sample, without building its row."""
+        return self.records["id"][index].decode()
+
+    def require_finite(self):
+        """Raise DataError naming the first sample whose sequences hold a
+        NaN or an infinity."""
+        # One reduction over each whole column first: half the time of the
+        # per-sample reductions that locate a bad sample.
+        if np.isfinite(self.run).all() and np.isfinite(self.kick).all():
+            return
+        finite = np.isfinite(self.run).all(axis=(1, 2)) \
+            & np.isfinite(self.kick).all(axis=(1, 2))
+        raise DataError(f"sample {self.name(np.argmin(finite))!r} has "
+                        f"non-finite embeddings")
+
+
+def as_table(samples):
+    """The samples as a SampleTable. A table passes through; a sequence of
+    PenaltySample is copied into new records, its embeddings rounded to
+    float32 as the container stores them.
+
+    A sample's id must be ASCII of at most ID_SIZE characters and its label
+    and keeper direction must fit a record byte; save_dataset checks the
+    rest of the record rules. An empty sequence gives an empty table with
+    zero-sized sequences.
+    """
+    if isinstance(samples, SampleTable):
+        return samples
+    samples = list(samples)
+    if not samples:
+        return SampleTable(np.zeros(0, _record_dtype(0, 0, 0)))
+    nr, d = run_shape = samples[0].run_seq.shape
+    kick_shape = samples[0].kick_seq.shape
+    for s in samples:
+        g = s.gk_direction
+        if s.run_seq.shape != run_shape or s.kick_seq.shape != kick_shape:
+            raise DimensionMismatchError(
+                f"sample {s.id}: sequence shapes differ from the rest of the set")
+        # GK_ABSENT itself is not a direction: it would read back as None.
+        if not (0 <= s.label < GK_ABSENT and (g is None or 0 <= g < GK_ABSENT)):
+            raise DataError(f"sample {s.id}: label {s.label} or keeper "
+                            f"direction {g} out of range")
+        if s.meta_float is not None:
+            raise ValueError(f"sample {s.id}: augmented metadata "
+                             f"(meta_float) is not part of a record")
+    ids = [s.id for s in samples]
+    if max(map(len, ids)) > ID_SIZE:
+        raise DataError(f"sample {max(ids, key=len)!r}: id is longer than "
+                        f"{ID_SIZE} characters")
+    try:
+        # The lengths are checked, so a fixed width truncates nothing; it
+        # converts at twice the speed of a discovered one.
+        ids = np.array(ids, dtype=f"S{ID_SIZE}")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"sample {exc.object!r}: id is not ASCII") from exc
+    # Field by field: half the time of one tuple per sample.
+    records = np.zeros(len(samples), _record_dtype(d, nr, kick_shape[0]))
+    records["id"] = ids
+    records["label"] = [s.label for s in samples]
+    records["gk"] = [GK_ABSENT if s.gk_direction is None else s.gk_direction
+                     for s in samples]
+    # An embedding beyond float32 range becomes an infinity, which the
+    # finiteness checks of save, training and scoring reject.
+    with np.errstate(over="ignore"):
+        records["run"] = [s.run_seq for s in samples]
+        records["kick"] = [s.kick_seq for s in samples]
+    records["side"] = [s.meta.side for s in samples]
+    records["foot"] = [s.meta.foot for s in samples]
+    return SampleTable(records)
 
 
 def _class_counts(labels, n_classes):
     return tuple(np.bincount(labels, minlength=n_classes).tolist())
 
 
-def _record_dtype(d, n_r, n_k):
-    """One container record: the id bytes, the run and kick sequences, then
-    side, foot, label and keeper bytes."""
-    return np.dtype([("id", "u1", (ID_SIZE,)), ("run", "<f4", (n_r, d)),
-                     ("kick", "<f4", (n_k, d)), ("side", "u1"), ("foot", "u1"),
-                     ("label", "u1"), ("gk", "u1")])
-
-
-def _check_records(ids, label, gk, n_classes):
-    """The record rules shared by save and load. Returns the ids as a bytes
-    array.
-
-    ids holds one row of byte values per record; save passes code points and
-    one extra column, which must be NUL, to catch an over-long id. An id is
-    1..ID_SIZE printable ASCII bytes followed only by NUL padding, and ids
-    are distinct. Labels and keeper directions lie in the label space, where
-    a keeper byte of GK_ABSENT means no keeper.
-    """
-    nul = ids == 0
-    ok = ((ids >= 0x20) & (ids < 0x7F)) | nul
-    ok &= ~(np.logical_or.accumulate(nul, axis=1) & ~nul)
-    ok = ok.all(axis=1) & ~nul[:, 0] & nul[:, ID_SIZE:].all(axis=1)
+def _check_records(table, n_classes):
+    """The record rules shared by save and load: each id is 1..ID_SIZE
+    printable ASCII bytes followed only by NUL padding, ids are distinct,
+    labels and keeper directions lie in the label space, metadata bytes are
+    bits, and embeddings are finite."""
+    ids = table.records["id"]
+    codes = np.ascontiguousarray(ids).view(np.uint8).reshape(-1, ID_SIZE)
+    nul = codes == 0
+    ok = (((codes >= 0x20) & (codes < 0x7F)) | nul).all(axis=1)
+    # Non-empty, and no NUL is followed by another byte.
+    ok &= ~nul[:, 0] & (nul[:, :-1] <= nul[:, 1:]).all(axis=1)
     if not ok.all():
         raise DataError(f"sample index {np.argmin(ok)}: id must be "
                         f"1..{ID_SIZE} printable ASCII bytes followed only "
                         f"by NUL padding")
-    keys = np.ascontiguousarray(ids[:, :ID_SIZE], dtype=np.uint8) \
-        .view(f"S{ID_SIZE}")[:, 0]
-    unique, counts = np.unique(keys, return_counts=True)
-    if len(unique) < len(keys):
+    unique, counts = np.unique(ids, return_counts=True)
+    if len(unique) < len(ids):
         dup = unique[np.argmax(counts > 1)].decode()
         raise DataError(f"duplicate sample id {dup!r}")
-    bad = (label < 0) | (label >= n_classes) \
-        | ((gk != GK_ABSENT) & ((gk < 0) | (gk >= n_classes)))
+    label, gk = table.label, table.gk
+    bad = (label >= n_classes) | ((gk != GK_ABSENT) & (gk >= n_classes))
     if bad.any():
         i = np.argmax(bad)
-        raise DataError(f"sample {keys[i].decode()}: label {label[i]} or "
-                        f"keeper direction {gk[i]} out of range")
-    return keys
+        raise DataError(f"sample {table.name(i)}: label {label[i]} or keeper "
+                        f"direction {gk[i]} out of range")
+    bad = (table.side > 1) | (table.foot > 1)
+    if bad.any():
+        raise DataError(f"sample {table.name(np.argmax(bad))}: "
+                        f"metadata bytes must be 0 or 1")
+    table.require_finite()
 
 
 def _build_header(d, n_r, n_k, n_classes, count, class_counts, backbone):
@@ -166,13 +266,16 @@ def _build_header(d, n_r, n_k, n_classes, count, class_counts, backbone):
 
 def save_dataset(path, samples, backbone="unspecified", n_classes=3,
                  embedding_dim=None, n_r=None, n_k=None):
-    """Write samples to the binary container. Returns the manifest.
+    """Write a SampleTable or a sequence of samples to the binary container.
+    Returns the manifest. A sample that breaks a record rule raises
+    DataError and no file is written.
 
     Empty datasets need the sequence dimensions passed explicitly.
     """
-    if samples:
-        nr, d = samples[0].run_seq.shape
-        nk = samples[0].kick_seq.shape[0]
+    table = as_table(samples)
+    if len(table):
+        _, nr, d = table.run.shape
+        nk = table.kick.shape[1]
         if embedding_dim not in (None, d) or n_r not in (None, nr) \
                 or n_k not in (None, nk):
             raise DimensionMismatchError(
@@ -181,37 +284,18 @@ def save_dataset(path, samples, backbone="unspecified", n_classes=3,
         if embedding_dim is None or n_r is None or n_k is None:
             raise ValueError("empty dataset needs embedding_dim, n_r, n_k")
         d, nr, nk = embedding_dim, n_r, n_k
-    for s in samples:
-        if s.run_seq.shape != (nr, d) or s.kick_seq.shape != (nk, d):
-            raise DimensionMismatchError(
-                f"sample {s.id}: sequence shapes differ from the rest of the set")
-    # One code point per character and a spare column, which a longer id
-    # fills; a non-ASCII character shows as a code point above 0x7F.
-    ids = np.array([s.id for s in samples], dtype=f"U{ID_SIZE + 1}") \
-        .view(np.uint32).reshape(len(samples), ID_SIZE + 1)
-    label = np.array([s.label for s in samples], dtype=np.int64)
-    # An explicit GK_ABSENT would load back as no keeper: map it out of range.
-    gk = np.array([GK_ABSENT if g is None else -1 if g == GK_ABSENT else g
-                   for g in (s.gk_direction for s in samples)], dtype=np.int64)
-    _check_records(ids, label, gk, n_classes)
-    # Field by field: half the time of one tuple per sample.
-    records = np.zeros(len(samples), _record_dtype(d, nr, nk))
-    if samples:  # [] does not broadcast to (0, n_r, d)
-        records["run"] = [s.run_seq for s in samples]
-        records["kick"] = [s.kick_seq for s in samples]
-    records["side"] = [s.meta.side for s in samples]
-    records["foot"] = [s.meta.foot for s in samples]
-    records["id"], records["label"], records["gk"] = ids[:, :ID_SIZE], label, gk
-    counts = _class_counts(label, n_classes)
-    header = _build_header(d, nr, nk, n_classes, len(samples), counts, backbone)
+        table = SampleTable(np.zeros(0, _record_dtype(d, nr, nk)))
+    _check_records(table, n_classes)
+    counts = _class_counts(table.label, n_classes)
+    header = _build_header(d, nr, nk, n_classes, len(table), counts, backbone)
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(records)
+            fh.write(np.ascontiguousarray(table.records))
     except OSError as exc:
         raise DataError(f"cannot write dataset {str(path)!r}: {exc}") from exc
     return DatasetManifest(embedding_dim=d, n_r=nr, n_k=nk,
-                           n_classes=n_classes, count=len(samples),
+                           n_classes=n_classes, count=len(table),
                            class_counts=counts, backbone=backbone)
 
 
@@ -255,9 +339,9 @@ def _parse_header(raw):
 
 
 def load_dataset(path):
-    """Read a container file. Returns (manifest, samples).
+    """Read a container file. Returns (manifest, SampleTable).
 
-    The samples' sequences are views into one buffer holding the file.
+    The table's columns are views into one buffer holding the file.
     """
     try:
         with open(path, "rb") as fh:
@@ -288,31 +372,41 @@ def load_dataset(path):
             f"dimensions")
 
     records = np.frombuffer(raw, dtype=layout, count=count, offset=HEADER_SIZE)
-    names = _check_records(records["id"], records["label"], records["gk"],
-                           n_classes).astype(f"U{ID_SIZE}").tolist()
-    bad = (records["side"] > 1) | (records["foot"] > 1)
-    if bad.any():
-        raise DataError(f"sample {names[np.argmax(bad)]}: "
-                        f"metadata bytes must be 0 or 1")
-    run, kick = records["run"], records["kick"]
-    finite = np.isfinite(run).all(axis=(1, 2)) & np.isfinite(kick).all(axis=(1, 2))
-    if not finite.all():
-        raise DataError(f"sample {names[np.argmin(finite)]}: "
-                        f"non-finite embedding values")
-    actual = _class_counts(records["label"], n_classes)
+    table = SampleTable(records)
+    _check_records(table, n_classes)
+    actual = _class_counts(table.label, n_classes)
     if actual != counts:
         raise DataError(
             f"header class counts {counts} do not match records {actual}")
-    fields = [records[f].tolist() for f in ("side", "foot", "label", "gk")]
-    samples = [PenaltySample(id=sid, run_seq=r, kick_seq=k,
-                             meta=Metadata(side=side, foot=foot), label=lab,
-                             gk_direction=None if g == GK_ABSENT else g)
-               for sid, r, k, side, foot, lab, g in zip(names, run, kick,
-                                                        *fields)]
     manifest = DatasetManifest(embedding_dim=d, n_r=nr, n_k=nk,
                                n_classes=n_classes, count=count,
                                class_counts=counts, backbone=backbone)
-    return manifest, samples
+    return manifest, table
+
+
+@dataclass(frozen=True, eq=False)
+class FoldSplit:
+    """Partition of a dataset's samples into k folds: fold[i] is the fold
+    of sample i."""
+
+    k: int
+    fold: np.ndarray
+
+    def __eq__(self, other):
+        return isinstance(other, FoldSplit) and self.k == other.k \
+            and np.array_equal(self.fold, other.fold)
+
+    def split(self, samples, fold):
+        """(train, held_out) sub-tables of the dataset this split was made
+        from, for one fold, in dataset order."""
+        if not 0 <= fold < self.k:
+            raise ValueError(f"fold {fold} out of range for k={self.k}")
+        table = as_table(samples)
+        if len(table) != len(self.fold):
+            raise ValueError(f"split covers {len(self.fold)} samples, the "
+                             f"dataset has {len(table)}")
+        held = self.fold == fold
+        return table[~held], table[held]
 
 
 def stratified_kfold(samples, k=10, seed=0):
@@ -324,20 +418,21 @@ def stratified_kfold(samples, k=10, seed=0):
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    labels = sorted({s.label for s in samples})
+    labels = as_table(samples).label
+    if not len(labels):
+        raise DataError("cannot split an empty sample set into folds")
     rng = np.random.default_rng(seed)
-    assignment = {}
+    fold = np.empty(len(labels), dtype=np.int64)
     offset = 0
-    for label in labels:
-        ids = [s.id for s in samples if s.label == label]
-        if len(ids) < k:
+    for label in np.unique(labels):
+        rows = np.flatnonzero(labels == label)
+        if len(rows) < k:
             raise DataError(
-                f"class {label} has {len(ids)} samples, fewer than k={k}")
-        order = rng.permutation(len(ids))
-        for j, idx in enumerate(order):
-            assignment[ids[idx]] = (offset + j) % k
-        offset = (offset + len(ids)) % k
-    return FoldSplit(k=k, assignment=assignment)
+                f"class {label} has {len(rows)} samples, fewer than k={k}")
+        fold[rows[rng.permutation(len(rows))]] = \
+            (offset + np.arange(len(rows))) % k
+        offset = (offset + len(rows)) % k
+    return FoldSplit(k=k, fold=fold)
 
 
 def compute_class_weights(labels, n_classes):
@@ -356,25 +451,22 @@ def compute_class_weights(labels, n_classes):
 def binarize(samples, n_classes=3):
     """Drop center kicks and remap to {left = 0, right = 1}.
 
-    The label space must be passed because a flat sample list cannot
-    distinguish "right" in the binary space from "center" in the ternary
-    one; n_classes = 2 input is returned unchanged, which makes repeated
-    application idempotent.
+    Returns a SampleTable. The label space must be passed because a sample
+    set cannot distinguish "right" in the binary space from "center" in the
+    ternary one; n_classes = 2 input is returned unchanged, which makes
+    repeated application idempotent.
     """
+    table = as_table(samples)
     if n_classes == 2:
-        return list(samples)
+        return table
     if n_classes != 3:
         raise ValueError("binarize expects a two- or three-class dataset")
-    out = []
-    for s in samples:
-        if s.label == CENTER:
-            continue
-        gk = s.gk_direction
-        if gk is not None:
-            gk = None if gk == CENTER else (0 if gk == LEFT else 1)
-        out.append(replace(s, label=0 if s.label == LEFT else 1,
-                           gk_direction=gk))
-    return out
+    records = table.records[table.label != CENTER]
+    gk = records["gk"]
+    records["label"] = records["label"] != LEFT
+    records["gk"] = np.where((gk == CENTER) | (gk == GK_ABSENT), GK_ABSENT,
+                             gk != LEFT)
+    return SampleTable(records)
 
 
 # Direction vectors for the planted signal: left, center, right rays at
@@ -478,19 +570,22 @@ def manifest_summary(manifest, samples):
         "direction counts by pitch side",
     ]
 
-    def rows(group_fn, values, labels_for):
-        for value in values:
-            subset = [s for s in samples if group_fn(s) == value]
-            counts = np.bincount([s.label for s in subset],
+    table = as_table(samples)
+
+    def rows(column, labels_for):
+        for value in (0, 1):
+            mask = column == value
+            counts = np.bincount(table.label[mask],
                                  minlength=manifest.n_classes)
             body = " ".join(f"{n}={c}" for n, c in zip(names, counts))
-            lines.append(f"  {labels_for[value]}: {body} total={len(subset)}")
+            lines.append(f"  {labels_for[value]}: {body} "
+                         f"total={int(mask.sum())}")
 
-    rows(lambda s: s.meta.side, (0, 1), {0: "right side", 1: "left side"})
+    rows(table.side, {0: "right side", 1: "left side"})
     lines.append("")
     lines.append("direction counts by kicker foot")
-    rows(lambda s: s.meta.foot, (0, 1), {0: "right-footed", 1: "left-footed"})
-    n_gk = sum(1 for s in samples if s.gk_direction is not None)
+    rows(table.foot, {0: "right-footed", 1: "left-footed"})
+    n_gk = int(np.sum(table.gk != GK_ABSENT))
     lines.append("")
     lines.append(f"gk direction present: {n_gk}/{manifest.count}")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BINARY_CLASS_NAMES, CLASS_NAMES
+from .data import BINARY_CLASS_NAMES, CLASS_NAMES, GK_ABSENT, as_table
 from .errors import DataError
 from .model import predict
 
@@ -102,14 +102,14 @@ def metrics_from_confusion(cm):
         n_samples=cm.total)
 
 
-def _subgroup_stats(samples, true_labels, pred_labels):
+def _subgroup_stats(table, true_labels, pred_labels):
     """Accuracy within each side/foot subgroup; absent groups map to None."""
     correct = np.asarray(true_labels) == np.asarray(pred_labels)
     masks = {
-        "side_right": np.array([s.meta.side == 0 for s in samples]),
-        "side_left": np.array([s.meta.side == 1 for s in samples]),
-        "foot_right": np.array([s.meta.foot == 0 for s in samples]),
-        "foot_left": np.array([s.meta.foot == 1 for s in samples]),
+        "side_right": table.side == 0,
+        "side_left": table.side == 1,
+        "foot_right": table.foot == 0,
+        "foot_left": table.foot == 1,
     }
     out = {}
     for key in SUBGROUP_KEYS:
@@ -119,38 +119,39 @@ def _subgroup_stats(samples, true_labels, pred_labels):
     return out
 
 
-def _score(samples, true_labels, pred_labels, n_classes):
+def _score(table, true_labels, pred_labels, n_classes):
     cm = confusion_from_labels(true_labels, pred_labels, n_classes)
     report = metrics_from_confusion(cm)
-    report.subgroups = _subgroup_stats(samples, true_labels, pred_labels)
+    report.subgroups = _subgroup_stats(table, true_labels, pred_labels)
     return cm, report
 
 
 def evaluate(bundle, samples, branches=None):
-    """Eval-mode inference and scoring; returns (ConfusionMatrix, report)."""
-    if not samples:
+    """Eval-mode inference and scoring of a SampleTable or sample list;
+    returns (ConfusionMatrix, report)."""
+    table = as_table(samples)
+    if not len(table):
         raise DataError("cannot evaluate an empty sample set")
-    labels = np.array([s.label for s in samples], dtype=np.int64)
+    labels = table.label.astype(np.int64)
     if labels.max() >= bundle.n_classes:
         raise DataError(
             f"dataset labels exceed the model's {bundle.n_classes}-class "
             f"output")
-    preds = predict(bundle, samples, branches=branches)
-    return _score(samples, labels, preds, bundle.n_classes)
+    preds = predict(bundle, table, branches=branches)
+    return _score(table, labels, preds, bundle.n_classes)
 
 
 def gk_baseline(samples, n_classes=3):
     """Score the goalkeeper's actual dive direction as a predictor."""
-    if not samples:
+    table = as_table(samples)
+    if not len(table):
         raise DataError("cannot evaluate an empty sample set")
-    missing = [s.id for s in samples if s.gk_direction is None]
-    if missing:
+    missing = np.flatnonzero(table.gk == GK_ABSENT)
+    if len(missing):
         raise DataError(
             "goalkeeper direction missing for samples: "
-            + ", ".join(repr(i) for i in missing))
-    labels = [s.label for s in samples]
-    preds = [s.gk_direction for s in samples]
-    _, report = _score(samples, labels, preds, n_classes)
+            + ", ".join(repr(table.name(i)) for i in missing))
+    _, report = _score(table, table.label, table.gk, n_classes)
     return report
 
 

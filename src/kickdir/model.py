@@ -33,13 +33,13 @@ from math import prod
 
 import numpy as np
 
+from .data import as_table
 from .encoder import (
     branch_param_arrays,
     encode_branch_backward,
     encode_branch_forward,
     init_branch_encoder,
 )
-from .errors import DataError
 from .fusion import (
     fuse_and_classify,
     fusion_backward,
@@ -204,12 +204,12 @@ def _state_arrays(bundle):
 
 
 def batch_inputs(samples):
-    """Stack a list of samples into model inputs (float64)."""
-    run_x = np.stack([s.run_seq for s in samples]).astype(np.float64)
-    kick_x = np.stack([s.kick_seq for s in samples]).astype(np.float64)
-    gamma = np.stack([s.meta_inputs() for s in samples])
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    return run_x, kick_x, gamma, labels
+    """Model inputs (float64) and labels of a SampleTable or sample list."""
+    table = as_table(samples)
+    gamma = np.empty((len(table), 2))
+    gamma[:, 0], gamma[:, 1] = table.side, table.foot
+    return (table.run.astype(np.float64), table.kick.astype(np.float64),
+            gamma, table.label.astype(np.int64))
 
 
 # Elements of one (B, T, channels, states) scan tensor from which the kick
@@ -409,7 +409,8 @@ def eval_chunk_size(bundle, seq_len):
 
 
 def predict_logits(bundle, samples, branches=None):
-    """Eval-mode logits for a sample list, scored in bounded chunks.
+    """Eval-mode logits for a SampleTable or sample list, scored in bounded
+    chunks.
     branches=None enables every branch the bundle's head carries.
 
     When the list spans two or more chunks and the process may use two
@@ -422,13 +423,14 @@ def predict_logits(bundle, samples, branches=None):
     """
     if branches is None:
         branches = bundle.head_branches
-    out = np.zeros((len(samples), bundle.n_classes))
-    if not samples:
+    table = as_table(samples)
+    out = np.zeros((len(table), bundle.n_classes))
+    if not len(table):
         return out
-    seq_len = max(len(samples[0].run_seq), len(samples[0].kick_seq))
+    seq_len = max(table.run.shape[1], table.kick.shape[1])
     step = eval_chunk_size(bundle, seq_len)
-    tasks = [partial(_score_chunk, bundle, samples[i:i + step], branches,
-                     out[i:i + step]) for i in range(0, len(samples), step)]
+    tasks = [partial(_score_chunk, bundle, table[i:i + step], branches,
+                     out[i:i + step]) for i in range(0, len(table), step)]
     if len(tasks) > 1 and usable_cpus() >= 2:
         WORKER.run(*tasks)
     else:
@@ -438,13 +440,9 @@ def predict_logits(bundle, samples, branches=None):
 
 
 def _score_chunk(bundle, chunk, branches, out):
-    """Write the eval-mode logits of one chunk of samples into out."""
+    """Write the eval-mode logits of a chunk of a SampleTable into out."""
+    chunk.require_finite()
     run_x, kick_x, gamma, _ = batch_inputs(chunk)
-    finite = np.isfinite(run_x).all(axis=(1, 2)) \
-        & np.isfinite(kick_x).all(axis=(1, 2))
-    if not finite.all():
-        bad = chunk[int(np.argmin(finite))]
-        raise DataError(f"sample {bad.id!r} has non-finite embeddings")
     out[...], _ = model_forward(bundle, run_x, kick_x, gamma, mode="eval",
                                 branches=branches)
 

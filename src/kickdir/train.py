@@ -18,9 +18,11 @@ from functools import partial
 
 import numpy as np
 
-from .augment import augment
+# train_fold augments each batch row through this name, which perfbench's
+# spans rebind to time augmentation per sample.
+from .augment import augment_inputs as augment
 from .config import TrainConfig
-from .data import compute_class_weights
+from .data import as_table, compute_class_weights
 from .errors import ConfigError, DataError, TrainingDivergedError
 from . import model
 from .fusion import LossConfig, loss_backward, weighted_smoothed_ce
@@ -189,13 +191,14 @@ def _require_finite_logits(logits, step):
 
 
 def _evaluate_loss_acc(bundle, samples, loss_cfg, branches=None, step=None):
-    """Eval-mode loss and accuracy over a sample list. Non-finite logits
-    raise TrainingDivergedError at `step`."""
-    logits = predict_logits(bundle, samples, branches=branches)
+    """Eval-mode loss and accuracy over a SampleTable or sample list.
+    Non-finite logits raise TrainingDivergedError at `step`."""
+    table = as_table(samples)
+    logits = predict_logits(bundle, table, branches=branches)
     _require_finite_logits(logits, step)
-    labels = np.array([s.label for s in samples], dtype=np.int64)
+    labels = table.label.astype(np.int64)
     loss = weighted_smoothed_ce(logits, labels, loss_cfg)
-    return loss, int(np.sum(np.argmax(logits, axis=1) == labels)) / len(samples)
+    return loss, int(np.sum(np.argmax(logits, axis=1) == labels)) / len(table)
 
 
 def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
@@ -206,15 +209,18 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
     concurrently with independent streams. `branches` zero-masks excluded
     branch vectors at the fusion input during both training and validation;
     `head_branches` instead builds the fusion head without them.
+
+    The samples are SampleTables or sample lists. Augmentation works on each
+    batch's model inputs, row by row in batch order.
     """
-    if len(train_samples) < cfg.batch_size:
+    train, val = as_table(train_samples), as_table(val_samples)
+    if len(train) < cfg.batch_size:
         raise DataError("training fold smaller than one batch")
-    if not val_samples:
+    if not len(val):
         raise DataError("validation fold is empty")
-    for s in train_samples + val_samples:
-        if not (np.isfinite(s.run_seq).all() and np.isfinite(s.kick_seq).all()):
-            raise DataError(f"sample {s.id!r} has non-finite embeddings")
-    d = train_samples[0].run_seq.shape[1]
+    train.require_finite()
+    val.require_finite()
+    d = train.run.shape[2]
     rng = np.random.default_rng([cfg.seed, fold])
     bundle = build_model(d, cfg.n_classes, cfg, rng,
                          head_branches=head_branches)
@@ -224,14 +230,13 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
     grads = bundle.params.like()
     opt = init_optimizer(bundle.params, beta1=cfg.beta1, beta2=cfg.beta2,
                          eps=cfg.adam_eps)
-    labels = [s.label for s in train_samples]
-    weights = compute_class_weights(labels, cfg.n_classes)
+    weights = compute_class_weights(train.label, cfg.n_classes)
     loss_cfg = LossConfig(class_weights=weights,
                           label_smoothing=cfg.label_smoothing,
                           normalization=cfg.loss_normalization)
     aug_cfg = cfg.augment_config() if cfg.augment else None
 
-    batches_per_epoch = len(train_samples) // cfg.batch_size
+    batches_per_epoch = len(train) // cfg.batch_size
     total_steps = cfg.max_epochs * batches_per_epoch
     warmup_steps = int(cfg.warmup_frac * total_steps)
 
@@ -240,15 +245,15 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
     since_improvement = 0
     global_step = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        perm = rng.permutation(len(train_samples))
+        perm = rng.permutation(len(train))
         epoch_losses = []
         lr_t = 0.0
         for b in range(batches_per_epoch):
             idx = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            chunk = [train_samples[i] for i in idx]
+            run_x, kick_x, gamma, y = batch_inputs(train[idx])
             if aug_cfg is not None:
-                chunk = [augment(s, aug_cfg, rng) for s in chunk]
-            run_x, kick_x, gamma, y = batch_inputs(chunk)
+                for j in range(len(idx)):
+                    augment(run_x[j], kick_x[j], gamma[j], aug_cfg, rng)
             logits, cache = model_forward(bundle, run_x, kick_x, gamma,
                                           mode="train", rng=rng,
                                           branches=branches)
@@ -266,7 +271,7 @@ def train_fold(train_samples, val_samples, cfg, fold=0, branches=None,
             epoch_losses.append(loss)
             global_step += 1
 
-        val_loss, val_acc = _evaluate_loss_acc(bundle, val_samples, loss_cfg,
+        val_loss, val_acc = _evaluate_loss_acc(bundle, val, loss_cfg,
                                                branches=branches,
                                                step=global_step)
         history.epoch.append(epoch)

@@ -94,7 +94,7 @@ def test_generate_empty_dataset(tmp_path):
     rc = main(["generate", "--out", str(path), "--samples", "0"])
     assert rc == EXIT_OK
     manifest, samples = load_dataset(path)
-    assert manifest.count == 0 and samples == []
+    assert manifest.count == 0 and len(samples) == 0
 
 
 def test_generate_rejects_small_dim(tmp_path, capsys):
@@ -294,10 +294,11 @@ def test_evaluate_rejects_embedding_dim_mismatch(ckpt_run, tmp_path, capsys):
 
 def test_evaluate_rejects_non_finite_dataset(ckpt_run, tmp_path, capsys):
     _, ckpt = ckpt_run
-    manifest, samples = load_dataset(make_dataset(tmp_path))
-    samples[5].kick_seq[0, 0] = float("nan")
+    data = make_dataset(tmp_path)
+    _, samples = load_dataset(data)
+    samples[5].kick_seq[0, 0] = float("nan")  # a view into the records
     bad = tmp_path / "nan.pkds"
-    save_dataset(bad, samples, n_classes=manifest.n_classes)
+    bad.write_bytes(data.read_bytes()[:128] + samples.records.tobytes())
     rc = main(["evaluate", "--data", str(bad), "--checkpoint", str(ckpt)])
     assert rc == EXIT_DATA
     assert samples[5].id in capsys.readouterr().err
@@ -397,7 +398,8 @@ def test_crossval_two_class_logs_drop(tmp_path, capsys):
 
 
 def test_crossval_missing_gk_omits_row(tmp_path, capsys):
-    manifest, samples = load_dataset(make_dataset(tmp_path))
+    manifest, table = load_dataset(make_dataset(tmp_path))
+    samples = list(table)
     samples[0] = dataclasses.replace(samples[0], gk_direction=None)
     stripped = tmp_path / "nogk.pkds"
     save_dataset(stripped, samples, backbone=manifest.backbone)
@@ -768,6 +770,12 @@ BAD_INPUTS = {
                    _patched_header(r, "count.pkds", " count=80 ",
                                    " count=79 ")],
         EXIT_DATA, "per-class counts do not sum to sample count"),
+    "crossval-empty-dataset": (
+        lambda r: ["crossval", "--data",
+                   str(make_dataset(r, "empty.pkds", samples=0)),
+                   "--config", str(make_config(r)),
+                   "--out-dir", str(r / "empty_run")],
+        EXIT_DATA, "cannot split an empty sample set into folds"),
     "crossval-out-dir-is-a-file": (
         lambda r: ["crossval", "--data", str(r / "d.pkds"),
                    "--config", str(make_config(r)),

@@ -1,6 +1,8 @@
 """Tests for the dataset container, folds, weights, and the generator."""
 
 import hashlib
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +13,14 @@ from kickdir.data import (
     DIRECTION_GIVEN_FOOT,
     FOOT_LEFT_RATE,
     GK_ABSENT,
+    ID_SIZE,
     LEFT,
     RIGHT,
     SIDE_LEFT_RATE,
     Metadata,
     PenaltySample,
+    SampleTable,
+    as_table,
     binarize,
     compute_class_weights,
     generate_synthetic,
@@ -55,7 +60,7 @@ def test_empty_dataset_round_trip(tmp_path):
     path = tmp_path / "empty.pkds"
     save_dataset(path, [], embedding_dim=8, n_r=3, n_k=2)
     manifest, samples = load_dataset(path)
-    assert samples == []
+    assert len(samples) == 0
     assert manifest.count == 0
     assert manifest.embedding_dim == 8
     assert manifest.class_counts == (0, 0, 0)
@@ -253,7 +258,7 @@ def test_binarize_no_centers_is_count_preserving():
 
 def test_binarize_only_centers_empties():
     samples = [make_sample(i, CENTER) for i in range(5)]
-    assert binarize(samples) == []
+    assert len(binarize(samples)) == 0
 
 
 def test_binarize_idempotent():
@@ -336,11 +341,29 @@ def test_sidecar_counts():
 
 def test_load_rejects_non_finite_payload(tmp_path):
     samples = [make_sample(i, i % 3) for i in range(4)]
-    samples[2].run_seq[1, 3] = np.nan
     path = tmp_path / "nan.pkds"
     save_dataset(path, samples)
+    raw = bytearray(path.read_bytes())
+    record = (len(raw) - 128) // 4
+    start = 128 + 2 * record + ID_SIZE + 4 * 7  # run_seq[1, 3] of record 2
+    raw[start:start + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
     with pytest.raises(DataError, match=samples[2].id):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+def test_save_rejects_what_load_would_reject(tmp_path, value):
+    # 1e39 is finite in float64 but overflows the stored float32.
+    samples = [make_sample(i, i % 3) for i in range(4)]
+    samples[2].kick_seq = samples[2].kick_seq.astype(np.float64)
+    samples[2].kick_seq[0, 1] = value
+    path = tmp_path / "bad.pkds"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=samples[2].id):
+            save_dataset(path, samples)
+    assert not path.exists()
 
 
 def test_saved_bytes_are_pinned(tmp_path):
@@ -452,3 +475,76 @@ def test_load_fuzz_raises_only_data_errors(fuzz_base, tmp_path_factory,
         load_dataset(path)
     except DataError:
         pass
+
+
+def _saved_and_loaded(tmp_path, n=12):
+    """n generated samples, one without a keeper, and their loaded table."""
+    _, samples = generate_synthetic(n, embedding_dim=6, n_r=3, n_k=2, seed=4)
+    samples[3].gk_direction = None
+    path = tmp_path / "table.pkds"
+    save_dataset(path, samples)
+    return samples, load_dataset(path)[1]
+
+
+def test_table_integer_index_builds_one_row(tmp_path):
+    samples, table = _saved_and_loaded(tmp_path)
+    assert len(table) == len(samples)
+    for i in (0, 3, -1):
+        row, want = table[i], samples[i]
+        assert isinstance(row, PenaltySample)
+        assert type(row.id) is str and row.id == want.id
+        assert row.meta == want.meta and row.label == want.label
+        assert row.gk_direction == want.gk_direction
+        assert np.array_equal(row.run_seq, want.run_seq)
+        assert np.array_equal(row.kick_seq, want.kick_seq)
+    assert table[3].gk_direction is None
+    row = table[1]
+    row.run_seq[0, 0] = 7.0  # sequences are views into the table
+    assert table.run[1, 0, 0] == 7.0
+    row.gk_direction = None  # scalar fields are a snapshot
+    assert table[1].gk_direction == samples[1].gk_direction
+    with pytest.raises(IndexError):
+        table[len(table)]
+
+
+@pytest.mark.parametrize("index, rows", [
+    (slice(2, 9, 3), [2, 5, 8]),
+    (np.array([5, 0, 5]), [5, 0, 5]),
+    ([9, 1], [9, 1]),
+    (np.arange(12) % 4 == 0, [0, 4, 8]),
+], ids=["slice", "index-array", "index-list", "mask"])
+def test_table_slices_and_index_arrays_give_sub_tables(tmp_path, index, rows):
+    samples, table = _saved_and_loaded(tmp_path)
+    sub = table[index]
+    assert isinstance(sub, SampleTable) and len(sub) == len(rows)
+    assert [s.id for s in sub] == [samples[i].id for i in rows]
+    assert np.array_equal(sub.kick, np.stack([samples[i].kick_seq
+                                              for i in rows]))
+    assert sub.gk.tolist() == [table.gk[i] for i in rows]
+
+
+def test_table_survives_pickling(tmp_path):
+    _, table = _saved_and_loaded(tmp_path)
+    for part in (table, table[1:], table[[4, 2]]):
+        copy = pickle.loads(pickle.dumps(part))
+        assert isinstance(copy, SampleTable)
+        assert copy.records.tobytes() == part.records.tobytes()
+
+
+def test_as_table_copies_a_list_into_records():
+    samples = [make_sample(i, i % 3, gk=(i % 3 if i % 2 else None),
+                           side=i % 2) for i in range(5)]
+    table = as_table(samples)
+    assert as_table(table) is table
+    assert table.run.dtype == np.float32
+    assert [s.id for s in table] == [s.id for s in samples]
+    assert [s.gk_direction for s in table] == [None, 1, None, 0, None]
+    assert table.side.tolist() == [0, 1, 0, 1, 0]
+    assert len(as_table([])) == 0
+    with pytest.raises(DataError):  # a label must fit its record byte
+        as_table([make_sample(0, 300)])
+
+
+def test_kfold_rejects_empty_set():
+    with pytest.raises(DataError, match="empty"):
+        stratified_kfold([], k=2, seed=0)

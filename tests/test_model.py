@@ -1,5 +1,7 @@
 """Assembled model: branch encoders feeding the fusion head."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,21 +170,20 @@ def test_empty_branch_set_rejected():
         model_forward(bundle, run_x, kick_x, gamma, mode="eval", branches=set())
 
 
-def test_batch_inputs_prefers_float_metadata():
-    sample = PenaltySample(
-        id="a", run_seq=np.zeros((3, 4), dtype=np.float32),
-        kick_seq=np.zeros((2, 4), dtype=np.float32),
-        meta=Metadata(side=1, foot=0), label=2,
-        meta_float=np.array([0.97, 0.02]))
+def test_batch_inputs_rejects_float_metadata():
     plain = PenaltySample(
         id="b", run_seq=np.zeros((3, 4), dtype=np.float32),
         kick_seq=np.zeros((2, 4), dtype=np.float32),
         meta=Metadata(side=1, foot=0), label=2)
-    run_x, kick_x, gamma, labels = batch_inputs([sample, plain])
+    run_x, kick_x, gamma, labels = batch_inputs([plain, plain])
     assert run_x.dtype == np.float64 and run_x.shape == (2, 3, 4)
-    assert np.allclose(gamma[0], [0.97, 0.02])
-    assert np.array_equal(gamma[1], [1.0, 0.0])
+    assert np.array_equal(gamma, [[1.0, 0.0], [1.0, 0.0]])
     assert np.array_equal(labels, [2, 2])
+    # Augmented metadata belongs to one training batch, not to a record.
+    noisy = dataclasses.replace(plain, id="a",
+                                meta_float=np.array([0.97, 0.02]))
+    with pytest.raises(ValueError, match="meta_float"):
+        batch_inputs([noisy, plain])
 
 
 def test_predict_and_ties():

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from kickdir.config import TrainConfig
-from kickdir.data import generate_synthetic
+from kickdir.data import (
+    Metadata,
+    PenaltySample,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+    stratified_kfold,
+)
 from kickdir.errors import DataError, TrainingDivergedError
 from kickdir.fusion import LossConfig, loss_backward
+from kickdir.metrics import evaluate
 from kickdir.model import (
     FlatBuffer,
     build_model,
@@ -460,3 +468,43 @@ def test_truncated_zip_checkpoint_closes_its_file(tmp_path):
             load_checkpoint(str(path))
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+# ------------------------------------------------------------ sample tables
+
+
+def _loaded_table(tmp_path, n=40):
+    _, samples = generate_synthetic(n, embedding_dim=6, n_r=3, n_k=2, seed=8)
+    path = tmp_path / "d.pkds"
+    save_dataset(path, samples)
+    return load_dataset(path)[1]
+
+
+def test_table_and_its_rows_train_alike(tmp_path):
+    table = _loaded_table(tmp_path)
+    train, val = stratified_kfold(table, k=4, seed=0).split(table, 1)
+    cfg = tiny_config(max_epochs=2, augment=True)
+    a, opt_a, _ = train_fold(train, val, cfg, fold=1)
+    b, opt_b, _ = train_fold(list(train), list(val), cfg, fold=1)
+    for x, y in ((a.params, b.params), (a.state, b.state),
+                 (opt_a.m, opt_b.m), (opt_a.v, opt_b.v)):
+        assert np.array_equal(x.vector, y.vector)
+    assert np.array_equal(predict_logits(a, table),
+                          predict_logits(a, list(table)))
+
+
+def test_table_path_builds_no_sample_objects(tmp_path, monkeypatch):
+    _loaded_table(tmp_path)  # writes d.pkds before the patches
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    monkeypatch.setattr(PenaltySample, "__init__", refuse)
+    monkeypatch.setattr(Metadata, "__init__", refuse)
+    _, table = load_dataset(tmp_path / "d.pkds")
+    train, val = stratified_kfold(table, k=4, seed=0).split(table, 0)
+    bundle, _, _ = train_fold(train, val, tiny_config(max_epochs=1,
+                                                      augment=True))
+    cm, _ = evaluate(bundle, val)
+    assert cm.total == len(val)
+    assert predict_logits(bundle, table).shape == (len(table), 3)
